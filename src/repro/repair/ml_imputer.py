@@ -13,9 +13,12 @@ those shared encodings, and predictions run through the vectorized
 ``predict`` paths of :class:`~repro.ml.tree._BaseDecisionTree` and
 :class:`~repro.ml.knn._BaseKNN` — no per-row Python on the proposal hot
 path. ``n_jobs`` fits/predicts the per-column models on a thread pool
-(the PR-3 executor pattern; numpy releases the GIL in the distance and
-split kernels), with results merged deterministically per column —
-outputs are bit-identical to the serial path.
+(the executor pattern shared with profiling), with results merged
+deterministically per column — outputs are bit-identical to the serial
+path. numpy releases the GIL in the k-NN distance kernel; a tree fit
+makes a few bulk numpy calls per node and feature (the segment-sum split
+search of :mod:`repro.ml.tree`), so its nodes are Python-bound and
+overlap little across threads.
 """
 
 from __future__ import annotations

@@ -56,6 +56,12 @@ def make_random_values(
     return values
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: a long end-to-end test (tens of seconds)"
+    )
+
+
 @pytest.fixture(scope="session")
 def random_values():
     """The shared seeded random-value generator (see make_random_values)."""
