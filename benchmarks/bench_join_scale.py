@@ -2,8 +2,9 @@
 
 Two CSVs are streamed into one :class:`~repro.dataframe.SpillStore`
 whose resident budget is a small fraction of either table, then joined
-with the partitioned hash strategy (key buckets spill through the same
-store) and aggregated with the chunk-native ``group_by`` pushdown. The
+(neither side is sorted on the key, so the planner must pick the
+partitioned hash plan; key buckets spill through the same store) and
+aggregated with the chunk-native ``group_by``. The
 store counters prove the operators ran out-of-core: spilled bytes are
 several multiples of the budget while peak resident shard bytes never
 exceed it, and the inputs are still spilled afterwards — the join
@@ -23,6 +24,7 @@ from repro.dataframe import (
     group_by,
     join,
     read_csv_text_chunked,
+    resolve_join_strategy,
     to_csv_text,
 )
 
@@ -81,10 +83,9 @@ def test_partitioned_join_scale(benchmark):
         )
         ingest_seconds = time.perf_counter() - start
         input_spilled_bytes = store.stats()["spilled_bytes"]
+        plan = resolve_join_strategy(left, right, ["key"])
         start = time.perf_counter()
-        joined = join(
-            left, right, ["key"], how="inner", strategy="partitioned"
-        )
+        joined = join(left, right, ["key"], how="inner")
         join_seconds = time.perf_counter() - start
         start = time.perf_counter()
         grouped = group_by(
@@ -102,6 +103,7 @@ def test_partitioned_join_scale(benchmark):
         return {
             "stats": store.stats(),
             "input_spilled_bytes": input_spilled_bytes,
+            "plan": plan,
             "ingest": ingest_seconds,
             "join": join_seconds,
             "group": group_seconds,
@@ -144,6 +146,8 @@ def test_partitioned_join_scale(benchmark):
             ["peak RSS", f"{rss_mib:.0f} MiB"],
         ],
     )
+    # Spilled, unsorted inputs: the planner picks the partitioned plan.
+    assert result["plan"] == "partitioned"
     # Each input must dwarf the budget — the issue's 2x(6x-budget) shape.
     assert result["input_spilled_bytes"] >= 2 * 4 * stats["budget_bytes"]
     # Residency contract: bucket shards are size-capped, so the LRU

@@ -1,6 +1,6 @@
 """Ablation — vectorized relational kernels vs. row-at-a-time loops.
 
-Times ``sort_by`` / ``group_by`` / ``inner_join`` / repair application at
+Times ``sort_by`` / ``group_by`` / inner ``join`` / repair application at
 growing row counts, and (at a small size) compares against the retained
 row-at-a-time reference to record the speedup the codes-based kernels
 deliver on the interactive dashboard's hot path.
@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from repro.dataframe import DataFrame, group_by, inner_join, sort_by
+from repro.dataframe import DataFrame, group_by, join, sort_by
 from repro.repair.base import RepairResult
 
 from conftest import print_table
@@ -104,7 +104,7 @@ def test_relational_ops_scaling(benchmark):
                         lambda: group_by(frame, ["group"], aggregations)
                     ),
                     "join": _timed(
-                        lambda: inner_join(frame, right, on=["code"])
+                        lambda: join(frame, right, ["code"])
                     ),
                     "repair": _timed(lambda: result.apply_to(frame)),
                 }
@@ -142,7 +142,7 @@ def test_relational_ops_vs_row_at_a_time(benchmark):
                 lambda: group_by(frame, ["group"], aggregations)
             ),
             "group_ref": _timed(lambda: _reference_group_by(frame)),
-            "join_fast": _timed(lambda: inner_join(frame, right, on=["code"])),
+            "join_fast": _timed(lambda: join(frame, right, ["code"])),
             "join_ref": _timed(lambda: _reference_join(frame, right)),
         }
 

@@ -3,12 +3,12 @@
 One CSV is streamed into a :class:`~repro.dataframe.SpillStore` whose
 resident budget is a small fraction of the table, external-sorted on a
 two-key order (runs and merged output spill through the same store), and
-then merge-joined against a second spilled table via the planner's
-``sortmerge`` strategy. The store counters prove both operators ran
-out-of-core: spilled bytes are several multiples of the budget while
-peak resident shard bytes never exceed it, and the inputs *and the
-sorted output* are still spilled afterwards — sorting never densified a
-table that would not have fit.
+then merge-joined against a second spilled table (the sorted side makes
+the planner pick its ``sortmerge`` plan). The store counters prove both
+operators ran out-of-core: spilled bytes are several multiples of the
+budget while peak resident shard bytes never exceed it, and the inputs
+*and the sorted output* are still spilled afterwards — sorting never
+densified a table that would not have fit.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from repro.dataframe import (
     is_sorted_on,
     join,
     read_csv_text_chunked,
+    resolve_join_strategy,
     to_csv_text,
 )
 
@@ -91,8 +92,9 @@ def test_external_sort_scale(benchmark):
         input_spilled = sum(
             1 for name in frame.column_names if frame.column(name).spilled
         )
+        # Spilled inputs with the left side sorted: the sortmerge plan.
+        plan = resolve_join_strategy(ordered, right, ["key"])
         start = time.perf_counter()
-        # auto: spilled inputs + sorted left -> the sortmerge plan.
         joined = join(ordered, right, ["key"], how="inner")
         join_seconds = time.perf_counter() - start
         return {
@@ -102,6 +104,7 @@ def test_external_sort_scale(benchmark):
             "sort": sort_seconds,
             "join": join_seconds,
             "sorted_probe": sorted_probe,
+            "plan": plan,
             "joined_rows": joined.num_rows,
             "input_spilled": input_spilled,
             "output_spilled": output_spilled,
@@ -149,6 +152,7 @@ def test_external_sort_scale(benchmark):
     assert result["input_spilled"] == result["n_columns"]
     assert result["output_spilled"] == result["n_columns"]
     assert result["sorted_probe"]
+    assert result["plan"] == "sortmerge"
     assert result["joined_rows"] > 0
     assert stats["evictions"] > 0
     benchmark.extra_info["peak_resident_bytes"] = stats["peak_resident_bytes"]

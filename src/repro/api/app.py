@@ -22,8 +22,7 @@ POST        /datasets/{name}/upload                **streaming** CSV upload
                                                    (Content-Type ``text/csv``)
 GET         /datasets/{name}                       preview (``?limit=``,
                                                    ``?sort_by=a,b``,
-                                                   ``?descending=1``,
-                                                   ``?sort_strategy=``)
+                                                   ``?descending=1``)
 GET         /datasets/{name}/profile               profile report [async-able]
 GET         /datasets/{name}/quality               quality metrics
 GET         /datasets/{name}/cache                 artifact-cache counters
@@ -477,10 +476,10 @@ def create_app(
     def preview(request: Request) -> dict:
         """Preview rows, optionally sorted server-side.
 
-        ``?sort_by=col_a,col_b`` sorts before slicing ``limit`` rows;
-        ``?descending=1`` flips the order and ``?sort_strategy=`` forces
-        ``memory``/``external`` (default ``auto``: external when the
-        frame is spilled, so sorting never densifies the stored frame).
+        ``?sort_by=col_a,col_b`` sorts before slicing ``limit`` rows and
+        ``?descending=1`` flips the order. The sort planner picks the
+        plan from the stored frame — external when it is spilled — so a
+        read never densifies the session frame.
         """
         limit = _int_param(request.query, "limit", 20)
         sort_spec = request.query.get("sort_by", "").strip()
@@ -488,7 +487,6 @@ def create_app(
         descending = (
             request.query.get("descending", "").strip().lower() in _TRUTHY
         )
-        strategy = request.query.get("sort_strategy") or None
 
         def work(session: Any) -> dict:
             frame = session.frame
@@ -496,16 +494,9 @@ def create_app(
                 from ..dataframe import sort_by
 
                 try:
-                    frame = sort_by(
-                        frame,
-                        sort_columns,
-                        descending=descending,
-                        strategy=strategy,
-                    )
+                    frame = sort_by(frame, sort_columns, descending=descending)
                 except KeyError as exc:
                     raise HTTPError(422, str(exc.args[0])) from exc
-                except ValueError as exc:
-                    raise HTTPError(422, str(exc)) from exc
             return _frame_preview(frame, limit)
 
         return _read(request, work)

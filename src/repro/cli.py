@@ -140,10 +140,7 @@ def _cmd_refcheck(args: argparse.Namespace) -> int:
     child = _load_frame(args)
     parent = _load_frame(args, attr="parent")
     detector = ReferentialIntegrityDetector(
-        on=args.on,
-        parent=parent,
-        parent_on=args.parent_on,
-        strategy=args.strategy,
+        on=args.on, parent=parent, parent_on=args.parent_on
     )
     result = detector.detect(child, DetectionContext())
     meta = result.metadata
@@ -162,17 +159,15 @@ def _cmd_refcheck(args: argparse.Namespace) -> int:
 def _cmd_sort(args: argparse.Namespace) -> int:
     """Sort a CSV by one or more key columns.
 
-    With ``--spill-budget`` (or ``DATALENS_SORT_STRATEGY=external``) the
-    sort runs out-of-core: spilled runs are merged shard-by-shard and the
-    result stays spilled until written out, so peak resident bytes stay
-    within the spill budget.
+    With ``--spill-budget`` the input is spilled, so the planner sorts it
+    out-of-core: spilled runs are merged shard-by-shard and the result
+    stays spilled until written out, so peak resident bytes stay within
+    the spill budget. Without it the sort runs in memory.
     """
     from .dataframe import sort_by
 
     frame = _load_frame(args)
-    result = sort_by(
-        frame, args.by, descending=args.descending, strategy=args.strategy
-    )
+    result = sort_by(frame, args.by, descending=args.descending)
     print(f"sorted {result.num_rows} rows by {args.by} "
           f"({'descending' if args.descending else 'ascending'})")
     if args.output:
@@ -307,7 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     repair_cmd.set_defaults(func=_cmd_repair)
 
     refcheck_cmd = commands.add_parser(
-        "refcheck", help="cross-table referential-integrity check"
+        "refcheck",
+        help="cross-table referential-integrity check (a semi join; "
+        "runs out-of-core when --spill-budget is set)",
     )
     refcheck_cmd.add_argument("data", help="child CSV (holds the foreign key)")
     refcheck_cmd.add_argument("parent", help="parent CSV (holds the referenced key)")
@@ -316,11 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     refcheck_cmd.add_argument("--parent-on", nargs="+",
                               help="key column(s) in the parent table "
                               "(default: same names as --on)")
-    refcheck_cmd.add_argument(
-        "--strategy",
-        choices=("auto", "memory", "partitioned", "merge", "sortmerge"),
-        help="force a join strategy (default: planner decides)",
-    )
     refcheck_cmd.add_argument("--strict", action="store_true",
                               help="exit 1 when violations are found")
     refcheck_cmd.add_argument("--output", help="write violating cells as JSON")
@@ -328,17 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
     refcheck_cmd.set_defaults(func=_cmd_refcheck)
 
     sort_cmd = commands.add_parser(
-        "sort", help="sort a CSV by key columns (spill-aware)"
+        "sort",
+        help="sort a CSV by key columns (external merge sort when "
+        "--spill-budget is set)",
     )
     sort_cmd.add_argument("data")
     sort_cmd.add_argument("--by", nargs="+", required=True,
                           help="key column(s), highest priority first")
     sort_cmd.add_argument("--descending", action="store_true")
-    sort_cmd.add_argument(
-        "--strategy", choices=("auto", "memory", "external"),
-        help="force a sort strategy (default: DATALENS_SORT_STRATEGY, "
-        "else external iff the input is spilled)",
-    )
     sort_cmd.add_argument("--output", help="write the sorted table as CSV")
     _add_scale_options(sort_cmd)
     sort_cmd.set_defaults(func=_cmd_sort)

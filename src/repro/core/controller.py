@@ -311,7 +311,6 @@ class DataLensSession:
         parent: DataFrame,
         on: Sequence[str],
         parent_on: Sequence[str] | None = None,
-        strategy: str | None = None,
     ) -> DetectionResult:
         """Cross-table check: child keys must exist in ``parent``.
 
@@ -325,7 +324,7 @@ class DataLensSession:
         if self.version_before_detection is None:
             self.version_before_detection = self.delta.latest_version()
         detector = ReferentialIntegrityDetector(
-            on=on, parent=parent, parent_on=parent_on, strategy=strategy
+            on=on, parent=parent, parent_on=parent_on
         )
         result = detector.detect(self.frame, self.detection_context())
         self._record_detection(detector.name, result)

@@ -1,48 +1,40 @@
-"""Chunk-native physical join and aggregation operators.
+"""Chunk-native physical join operators.
 
-This module turns the dataframe layer into an out-of-core query engine:
-joins and grouped aggregation run chunk by chunk over
+Joins run chunk by chunk over
 :class:`~repro.dataframe.chunked.ChunkedFrame` inputs (spilled shards
 stream through the owning :class:`~repro.dataframe.spill.SpillStore`'s
 LRU) and only the *result* is densified — query output is monolithic per
 the chunking contract, the inputs stay sharded/spilled.
 
-Join strategies
----------------
-``join`` picks a physical strategy via :func:`resolve_join_strategy`:
+Join plans
+----------
+:func:`resolve_join_strategy` is the only place a physical plan is
+chosen. It looks at two facts about the inputs — is either one spilled,
+and is either one already sorted on the key — and nothing a caller sets
+changes the choice:
 
-* ``memory`` — the classic joint-codes hash join (factorize both key
-  sides together, sort the right side once, probe with searchsorted).
-  Densifies both inputs; the right choice for in-RAM frames.
-* ``partitioned`` — a Grace-style partitioned hash join: each side's
-  chunks are split into ``n_partitions`` buckets by an
-  equality-respecting key hash, bucket pairs are joined independently
-  with the same joint-codes kernel, and the per-partition pairs are
-  merged back into global row order. When either input is spilled the
-  buckets themselves spill through the same store, so peak residency
-  stays at the store budget.
-* ``merge`` — a sorted-merge join for inputs already sorted on the key
-  (ascending, missing last — the order :func:`repro.dataframe.sort_by`
-  produces). Streams one key run per side at a time and never builds a
-  hash table. Explicit ``merge`` never sorts: unsorted inputs raise.
-* ``sortmerge`` — the merge join behind an external sort: any input
-  that is not already sorted on the key is sorted out-of-core through
+* ``memory`` — resident inputs. The classic joint-codes hash join
+  (factorize both key sides together, sort the right side once, probe
+  with searchsorted).
+* ``partitioned`` — spilled inputs, neither sorted on the key. A
+  Grace-style partitioned hash join: each side's chunks are split into
+  buckets by an equality-respecting key hash, the buckets spill through
+  the inputs' store, bucket pairs are joined independently with the
+  same joint-codes kernel, and the per-partition pairs are merged back
+  into global row order. Peak residency stays at the store budget.
+* ``sortmerge`` — spilled inputs, at least one already sorted on the
+  key (the probe is one streaming key scan per side and pins nothing
+  resident). The side that is not sorted is sorted out-of-core through
   :func:`repro.dataframe.sort.external_sort_by` (a reduced frame of key
   columns plus a row-id column, so payload columns never move), the
-  validated merge join runs on the sorted sides, and the matched pairs
-  are mapped back to input row ids. Temporary sort shards spill through
-  the inputs' store and are released before returning.
-* ``auto`` (default) — ``memory`` for resident inputs. For spilled
-  inputs: ``sortmerge`` when either side already satisfies the
-  sortedness contract on the key (the probe is one streaming key scan
-  per side and pins nothing resident; the presorted side streams
-  as-is, so only the other side pays an external sort), else
-  ``partitioned``.
+  sorted sides are merged one key run at a time, and the matched pairs
+  are mapped back to input row ids. With one side presorted it beats
+  ``partitioned`` by about 3× on the ``bench_sort_scale.py`` inputs;
+  with neither side sorted it is 6-10× slower on the
+  ``bench_join_scale.py`` inputs, which is why it is chosen only when a
+  side is presorted.
 
-``DATALENS_JOIN_STRATEGY`` overrides the default strategy process-wide
-(CI forces ``partitioned`` to run the whole suite through the
-out-of-core path); ``DATALENS_JOIN_PARTITIONS`` overrides the partition
-count. All strategies produce bit-identical results.
+All plans produce bit-identical results.
 
 Key-hash partitioning invariants
 --------------------------------
@@ -61,9 +53,9 @@ shards carry no null masks.
 
 Null semantics of left/outer unmatched rows
 -------------------------------------------
-``left_join`` keeps every left row; ``outer_join`` additionally appends
-every unmatched right row (in right row order) after all left rows.
-Cells drawn from the absent side are missing (``None``) with the
+``how="left"`` keeps every left row; ``how="outer"`` additionally
+appends every unmatched right row (in right row order) after all left
+rows. Cells drawn from the absent side are missing (``None``) with the
 canonical fill value in the backing array, exactly as if constructed
 from ``None`` — null-mask-correct, so fingerprints and downstream
 kernels see ordinary missing cells. Outer-join key columns are widened
@@ -74,37 +66,20 @@ Rows whose key contains a missing cell never match — a left row with a
 null key survives a left/outer join unmatched, and a right row with a
 null key appears in the outer result as a right-only row.
 
-Merge-join sortedness precondition
-----------------------------------
-``merge`` requires both inputs sorted on the key columns: the sort-key
-tuples (:func:`repro.dataframe.ops._sort_key` per cell — numbers before
-strings, missing last) of consecutive *distinct* key runs must strictly
-increase. Violations raise ``ValueError`` naming the side, the
-offending key, and its row; both inputs are validated end to end even
-when the merge itself could have stopped early, so the error is
-deterministic and independent of chunk boundaries.
-
-Grouped aggregation
+Sortedness contract
 -------------------
-:func:`grouped_aggregate` folds each chunk into per-group partial
-states and merges them exactly, preserving the monolithic ``group_by``
-contract bit for bit: float sums re-enter each chunk's ``bincount``
-as a carry (a fold starting at ``+0.0`` can never produce ``-0.0``,
-so the carry re-add is a bitwise no-op), int sums merge as
-arbitrary-precision Python ints, min/max merge per group keeping the
-first-seen value on ties, and everything else (object-backed columns,
-custom callables) buffers per-group Python value lists in row order and
-applies the callback at the end — the exact fallback the monolithic
-path uses, including its exception behaviour.
+A frame is sorted on the key (:func:`is_sorted_on`) when the sort-key
+tuples (:func:`repro.dataframe.ops._sort_key` per cell — numbers before
+strings, missing last) of consecutive *distinct* key runs strictly
+increase: the order :func:`repro.dataframe.sort_by` produces.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import struct
 import zlib
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -112,24 +87,9 @@ from . import types as _types
 from .chunked import ChunkedColumn, ChunkedFrame, _concat_payload
 from .column import Column
 from .frame import DataFrame
-from .ops import (
-    _MISSING_KEY,
-    _combine_codes,
-    _group_layout,
-    _joint_codes,
-    _resolve_aggregator,
-    _sort_key,
-)
+from .ops import _sort_key
 from .sort import external_sort_by
 from .spill import SpillStore, spill_store_of
-
-#: Environment override for the default join strategy.
-JOIN_STRATEGY_ENV = "DATALENS_JOIN_STRATEGY"
-
-#: Environment override for the partitioned-join partition count.
-JOIN_PARTITIONS_ENV = "DATALENS_JOIN_PARTITIONS"
-
-JOIN_STRATEGIES = ("auto", "memory", "partitioned", "merge", "sortmerge")
 
 _JOIN_HOWS = ("inner", "left", "outer")
 
@@ -138,78 +98,38 @@ _JOIN_HOWS = ("inner", "left", "outer")
 # Planner
 # ----------------------------------------------------------------------
 def resolve_join_strategy(
-    strategy: str | None,
     left: DataFrame,
     right: DataFrame,
     on: Sequence[str] | None = None,
 ) -> str:
-    """Resolve the physical strategy: explicit > environment > auto.
+    """Pick the physical plan from the inputs: memory/partitioned/sortmerge.
 
-    For spilled inputs (joining through ``memory`` would densify them)
-    ``auto`` prefers a merge plan when it can get one cheaply: given the
-    key columns via ``on``, it probes each side's sortedness (a
-    streaming key scan through the spill LRU — nothing is pinned
-    resident) and picks ``sortmerge`` when either side already
-    satisfies the contract, so at most one side pays an external sort.
-    Otherwise spilled inputs route ``partitioned`` and resident inputs
-    ``memory``. Callers that need no sorted semantics (membership)
-    pass ``on=None`` and keep the historical partitioned/memory
-    resolution. Bare ``merge`` is still never auto-selected.
+    Resident inputs join in ``memory``. When either input is spilled
+    (joining through ``memory`` would densify it), the planner probes
+    each side's sortedness on ``on`` (a streaming key scan through the
+    spill LRU — nothing is pinned resident) and picks ``sortmerge`` when
+    either side already satisfies the contract, so at most one side pays
+    an external sort; otherwise ``partitioned``. Membership tests need
+    no sorted output and pass ``on=None``, which routes every spilled
+    input ``partitioned``.
     """
-    if strategy is None:
-        strategy = (
-            os.environ.get(JOIN_STRATEGY_ENV, "").strip().lower() or "auto"
-        )
-    strategy = strategy.lower()
-    if strategy not in JOIN_STRATEGIES:
-        raise ValueError(
-            f"unknown join strategy {strategy!r}; expected one of "
-            f"{list(JOIN_STRATEGIES)}"
-        )
-    if strategy == "auto":
-        if spill_store_of(left) is not None or spill_store_of(right) is not None:
-            if on is not None and (
-                is_sorted_on(left, on) or is_sorted_on(right, on)
-            ):
-                return "sortmerge"
-            return "partitioned"
+    if spill_store_of(left) is None and spill_store_of(right) is None:
         return "memory"
-    return strategy
+    if on is not None and (is_sorted_on(left, on) or is_sorted_on(right, on)):
+        return "sortmerge"
+    return "partitioned"
 
 
-def resolve_join_partitions(
-    n_partitions: int | None,
-    left: DataFrame,
-    right: DataFrame,
-    store: SpillStore | None,
+def _partition_count(
+    left: DataFrame, right: DataFrame, store: SpillStore
 ) -> int:
-    """Partition count: explicit > environment > derived from input size.
+    """Partitions sized so one bucket pair fits well inside the budget.
 
-    With a store, partitions are sized so one bucket pair fits well
-    inside the resident budget (~64 bytes of key+row payload per row);
-    without one, roughly one partition per 64k input rows.
+    Assumes ~64 bytes of key+row payload per row, capped at 256.
     """
-    if n_partitions is None:
-        raw = os.environ.get(JOIN_PARTITIONS_ENV, "").strip()
-        if raw:
-            try:
-                n_partitions = int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"{JOIN_PARTITIONS_ENV} must be an integer, got {raw!r}"
-                ) from None
-    if n_partitions is not None:
-        if n_partitions < 1:
-            raise ValueError(
-                f"n_partitions must be >= 1, got {n_partitions}"
-            )
-        return n_partitions
-    total = left.num_rows + right.num_rows
-    if store is not None:
-        per_row = 64
-        derived = -(-per_row * max(total, 1) // max(store.budget_bytes, 1))
-        return max(1, min(256, derived))
-    return max(1, min(64, total // 65_536 + 1))
+    total = max(left.num_rows + right.num_rows, 1)
+    derived = -(-64 * total // max(store.budget_bytes, 1))
+    return max(1, min(256, derived))
 
 
 # ----------------------------------------------------------------------
@@ -272,21 +192,93 @@ def _partition_ids(
 
 
 # ----------------------------------------------------------------------
-# Joint-codes probe (shared by memory and partitioned strategies)
+# Joint-codes probe (shared by the memory and partitioned plans)
 # ----------------------------------------------------------------------
-def _probe_pairs(
+def _lossy_promotion(l_data: np.ndarray, r_data: np.ndarray) -> bool:
+    """True when concatenating would promote int64 values lossily.
+
+    Mixing an int64 key column with a float64 one promotes the ints to
+    float64; ints beyond 2**53 would then collide with neighbours they
+    are not Python-equal to, so such pairs take the exact dict path.
+    """
+    kinds = {l_data.dtype.kind, r_data.dtype.kind}
+    if kinds != {"i", "f"}:
+        return False
+    int_side = l_data if l_data.dtype.kind == "i" else r_data
+    if not int_side.size:
+        return False
+    limit = 2**53
+    return bool(int_side.max() > limit or int_side.min() < -limit)
+
+
+def _joint_codes(
+    left_column: Column, right_column: Column
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Factorize two columns jointly so equal values share codes.
+
+    Equality follows Python ``==`` semantics (so ``2 == 2.0 == True``
+    matches across int/float/bool columns, and strings never equal
+    numbers). Missing cells receive side-specific codes above the value
+    range so a missing left key can never match a missing right key.
+    """
+    l_data, l_mask = left_column.values_array(), left_column.mask()
+    r_data, r_mask = right_column.values_array(), right_column.mask()
+    n_left = len(l_data)
+    if l_data.dtype != object and r_data.dtype != object and not _lossy_promotion(
+        l_data, r_data
+    ):
+        combined = np.concatenate([l_data, r_data])
+        if combined.size:
+            _, inverse = np.unique(combined, return_inverse=True)
+            span = int(inverse.max()) + 1
+        else:
+            inverse = np.zeros(0, dtype=np.int64)
+            span = 0
+        inverse = inverse.astype(np.int64, copy=False)
+    else:
+        inverse, span = _types.factorize_objects(
+            l_data.tolist() + r_data.tolist()
+        )
+    left_codes = inverse[:n_left].copy()
+    right_codes = inverse[n_left:].copy()
+    left_codes[l_mask] = span
+    right_codes[r_mask] = span + 1
+    return left_codes, right_codes, span + 2
+
+
+def _combine_codes(
+    left_codes: np.ndarray,
+    right_codes: np.ndarray,
+    span: int,
+    extra_left: np.ndarray,
+    extra_right: np.ndarray,
+    extra_span: int,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Merge one more key column into composite codes (overflow safe)."""
+    if extra_span and span > (2**62) // max(extra_span, 1):
+        combined = np.concatenate([left_codes, right_codes])
+        _, inverse = np.unique(combined, return_inverse=True)
+        inverse = inverse.astype(np.int64, copy=False)
+        left_codes = inverse[: len(left_codes)]
+        right_codes = inverse[len(left_codes) :]
+        span = int(inverse.max()) + 1 if inverse.size else 0
+    return (
+        left_codes * extra_span + extra_left,
+        right_codes * extra_span + extra_right,
+        span * extra_span,
+    )
+
+
+def _composite_codes(
     left_cols: Sequence[Column],
     right_cols: Sequence[Column],
     n_left: int,
     n_right: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Matched (left_row, right_row) pairs, sorted by (left, right).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Jointly factorized composite key codes plus per-side missing masks.
 
-    The joint-codes hash join from ``ops.inner_join``, generalized to
-    operate on any aligned key-column lists (full frames or partition
-    buckets): factorize each key pair jointly, combine into composite
-    codes, sort the right side once, probe with searchsorted, and expand
-    the matching runs.
+    Equal keys share a code across the two sides; rows with any missing
+    key cell are flagged so callers can drop them (they never match).
     """
     left_codes = np.zeros(n_left, dtype=np.int64)
     right_codes = np.zeros(n_right, dtype=np.int64)
@@ -300,7 +292,25 @@ def _probe_pairs(
         )
         left_missing |= np.asarray(l_col.mask())
         right_missing |= np.asarray(r_col.mask())
+    return left_codes, right_codes, left_missing, right_missing
 
+
+def _probe_pairs(
+    left_cols: Sequence[Column],
+    right_cols: Sequence[Column],
+    n_left: int,
+    n_right: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Matched (left_row, right_row) pairs, sorted by (left, right).
+
+    Operates on any aligned key-column lists (full frames or partition
+    buckets): factorize each key pair jointly, combine into composite
+    codes, sort the right side once, probe with searchsorted, and expand
+    the matching runs.
+    """
+    left_codes, right_codes, left_missing, right_missing = _composite_codes(
+        left_cols, right_cols, n_left, n_right
+    )
     right_rows_valid = np.flatnonzero(~right_missing)
     right_order = right_rows_valid[
         np.argsort(right_codes[right_rows_valid], kind="stable")
@@ -339,17 +349,6 @@ def _probe_pairs(
     )
 
 
-def _join_pairs_memory(
-    left: DataFrame, right: DataFrame, key_names: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray]:
-    return _probe_pairs(
-        [left.column(name) for name in key_names],
-        [right.column(name) for name in key_names],
-        left.num_rows,
-        right.num_rows,
-    )
-
-
 # ----------------------------------------------------------------------
 # Partitioned hash join
 # ----------------------------------------------------------------------
@@ -363,15 +362,14 @@ def _partition_side(
     frame: DataFrame,
     key_names: Sequence[str],
     n_partitions: int,
-    store: SpillStore | None,
+    store: SpillStore,
 ) -> list[list[tuple[Any, list[Any]]]]:
     """Bucket one side's valid-key rows by key hash, chunk by chunk.
 
-    Returns, per partition, a list of per-chunk contributions
-    ``(rows, [key_payload, ...])`` where each element is a raw ndarray
-    (in-memory run) or a :class:`ShardHandle` spilled through ``store``.
-    Only the key columns are read — one shard at a time through the
-    spill LRU for spilled inputs — so partitioning never densifies.
+    Returns, per partition, a list of spilled per-chunk contributions
+    ``(rows_handle, [key_payload_handle, ...])``. Only the key columns
+    are read — one shard at a time through the spill LRU for spilled
+    inputs — so partitioning never densifies.
     """
     buckets: list[list[tuple[Any, list[Any]]]] = [
         [] for _ in range(n_partitions)
@@ -392,120 +390,117 @@ def _partition_side(
             local = np.flatnonzero(valid & (pids == p))
             rows = (base + local).astype(np.int64)
             pieces = [payload[local] for payload in payloads]
-            if store is not None:
-                # Bound each bucket shard well under the store budget so
-                # loading it back cannot push residency past the budget
-                # (a monolithic input arrives as one huge chunk; slicing
-                # here is what keeps the ≤-budget guarantee input-shape
-                # independent). Object payloads get a rough 64 B/row
-                # estimate; npy/pickle serialization overhead rides in
-                # the remaining 3/4 headroom.
-                per_row = 8 + sum(
-                    64 if piece.dtype == object else piece.itemsize
-                    for piece in pieces
-                )
-                step = len(rows)
-                if store.budget_bytes:
-                    step = max(1, store.budget_bytes // (4 * per_row))
-                for start in range(0, len(rows), step):
-                    rows_slice = rows[start : start + step]
-                    zeros = np.zeros(len(rows_slice), dtype=bool)
-                    buckets[p].append(
-                        (
-                            store.spill(rows_slice, zeros),
-                            [
-                                store.spill(piece[start : start + step], zeros)
-                                for piece in pieces
-                            ],
-                        )
+            # Bound each bucket shard well under the store budget so
+            # loading it back cannot push residency past the budget (a
+            # monolithic side arrives as one huge chunk; slicing here is
+            # what keeps the ≤-budget guarantee input-shape independent).
+            # Object payloads get a rough 64 B/row estimate; npy/pickle
+            # serialization overhead rides in the remaining 3/4 headroom.
+            per_row = 8 + sum(
+                64 if piece.dtype == object else piece.itemsize
+                for piece in pieces
+            )
+            step = len(rows)
+            if store.budget_bytes:
+                step = max(1, store.budget_bytes // (4 * per_row))
+            for start in range(0, len(rows), step):
+                rows_slice = rows[start : start + step]
+                zeros = np.zeros(len(rows_slice), dtype=bool)
+                buckets[p].append(
+                    (
+                        store.spill(rows_slice, zeros),
+                        [
+                            store.spill(piece[start : start + step], zeros)
+                            for piece in pieces
+                        ],
                     )
-            else:
-                buckets[p].append((rows, pieces))
+                )
         base += length
     return buckets
-
-
-def _bucket_array(item: Any, store: SpillStore | None, handles: list) -> np.ndarray:
-    if store is not None and not isinstance(item, np.ndarray):
-        handles.append(item)
-        return store.load(item)[0]
-    return item
 
 
 def _load_bucket(
     contribs: list[tuple[Any, list[Any]]],
     key_names: Sequence[str],
     key_dtypes: Sequence[str],
-    store: SpillStore | None,
-) -> tuple[np.ndarray, list[Column], list[Any]]:
+    store: SpillStore,
+) -> tuple[np.ndarray, list[Column]]:
     """Concatenate one partition's contributions into probe-ready columns."""
-    handles: list[Any] = []
     rows_parts: list[np.ndarray] = []
     col_parts: list[list[np.ndarray]] = [[] for _ in key_names]
     for rows_item, piece_items in contribs:
-        rows_parts.append(_bucket_array(rows_item, store, handles))
+        rows_parts.append(store.load(rows_item)[0])
         for j, item in enumerate(piece_items):
-            col_parts[j].append(_bucket_array(item, store, handles))
+            col_parts[j].append(store.load(item)[0])
     rows = (
         rows_parts[0]
         if len(rows_parts) == 1
         else np.concatenate(rows_parts)
     ).astype(np.int64, copy=False)
-    n = len(rows)
-    no_missing = np.zeros(n, dtype=bool)
+    no_missing = np.zeros(len(rows), dtype=bool)
     cols = [
         Column._from_arrays(
             name, dtype, _concat_payload(parts), no_missing
         )
         for name, dtype, parts in zip(key_names, key_dtypes, col_parts)
     ]
-    return rows, cols, handles
+    return rows, cols
 
 
 def _release_contribs(
-    contribs: list[tuple[Any, list[Any]]], store: SpillStore | None
+    contribs: list[tuple[Any, list[Any]]], store: SpillStore
 ) -> None:
-    if store is None:
-        return
     for rows_item, piece_items in contribs:
         store.release(rows_item)
         for item in piece_items:
             store.release(item)
 
 
+def _bucket_pairs(
+    left: DataFrame,
+    right: DataFrame,
+    left_names: Sequence[str],
+    right_names: Sequence[str],
+    store: SpillStore,
+) -> Iterator[tuple[np.ndarray, list[Column], np.ndarray, list[Column]]]:
+    """Partition both sides through ``store``; yield each bucket pair.
+
+    Yields ``(left_rows, left_key_cols, right_rows, right_key_cols)``
+    for every partition both sides populate. A bucket pair's shards are
+    released once the consumer moves on to the next pair.
+    """
+    n_partitions = _partition_count(left, right, store)
+    l_dtypes = [left.column(name).dtype for name in left_names]
+    r_dtypes = [right.column(name).dtype for name in right_names]
+    l_buckets = _partition_side(left, left_names, n_partitions, store)
+    r_buckets = _partition_side(right, right_names, n_partitions, store)
+    for l_contribs, r_contribs in zip(l_buckets, r_buckets):
+        if l_contribs and r_contribs:
+            yield (
+                *_load_bucket(l_contribs, left_names, l_dtypes, store),
+                *_load_bucket(r_contribs, right_names, r_dtypes, store),
+            )
+        _release_contribs(l_contribs, store)
+        _release_contribs(r_contribs, store)
+
+
 def _join_pairs_partitioned(
     left: DataFrame,
     right: DataFrame,
     key_names: Sequence[str],
-    n_partitions: int,
-    store: SpillStore | None,
+    store: SpillStore,
 ) -> tuple[np.ndarray, np.ndarray]:
-    l_dtypes = [left.column(name).dtype for name in key_names]
-    r_dtypes = [right.column(name).dtype for name in key_names]
-    l_buckets = _partition_side(left, key_names, n_partitions, store)
-    r_buckets = _partition_side(right, key_names, n_partitions, store)
     lp_parts: list[np.ndarray] = []
     rp_parts: list[np.ndarray] = []
-    for p in range(n_partitions):
-        if not l_buckets[p] or not r_buckets[p]:
-            _release_contribs(l_buckets[p], store)
-            _release_contribs(r_buckets[p], store)
-            continue
-        l_rows, l_cols, l_handles = _load_bucket(
-            l_buckets[p], key_names, l_dtypes, store
-        )
-        r_rows, r_cols, r_handles = _load_bucket(
-            r_buckets[p], key_names, r_dtypes, store
-        )
+    for l_rows, l_cols, r_rows, r_cols in _bucket_pairs(
+        left, right, key_names, key_names, store
+    ):
         left_take, right_take = _probe_pairs(
             l_cols, r_cols, len(l_rows), len(r_rows)
         )
         if len(left_take):
             lp_parts.append(l_rows[left_take])
             rp_parts.append(r_rows[right_take])
-        if store is not None:
-            for handle in l_handles + r_handles:
-                store.release(handle)
     if not lp_parts:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     lp = np.concatenate(lp_parts)
@@ -515,7 +510,7 @@ def _join_pairs_partitioned(
 
 
 # ----------------------------------------------------------------------
-# Sorted-merge join
+# Sort-merge join: external sort of the unsorted side + a run merge
 # ----------------------------------------------------------------------
 def _chunk_codes(cols: Sequence[Column], length: int) -> np.ndarray:
     """Composite per-chunk key codes (``DataFrame.column_codes`` logic)."""
@@ -534,15 +529,14 @@ def _chunk_codes(cols: Sequence[Column], length: int) -> np.ndarray:
 
 
 def _iter_key_runs(
-    frame: DataFrame, key_names: Sequence[str], side: str
+    frame: DataFrame, key_names: Sequence[str]
 ) -> Iterator[tuple[tuple, bool, np.ndarray]]:
     """Yield ``(sort_key, has_missing, rows)`` per distinct key run.
 
     Runs are maximal blocks of consecutive rows with equal keys; equal
     runs merge across chunk boundaries, so the decomposition is
-    chunking-invariant. Raises ``ValueError`` when consecutive distinct
-    runs do not strictly increase (the merge-join sortedness
-    precondition); the generator must be drained to validate the tail.
+    chunking-invariant. Raises ``ValueError`` as soon as consecutive
+    distinct runs do not strictly increase (the sortedness contract).
     """
     iters = _key_chunk_iters(frame, key_names)
     base = 0
@@ -570,9 +564,8 @@ def _iter_key_runs(
             if pending is not None:
                 if not skey > pending[0]:
                     raise ValueError(
-                        f"merge join requires the {side} input sorted on "
-                        f"{list(key_names)}: key {raw!r} at row {base + s} "
-                        f"breaks the sort order"
+                        f"not sorted on {list(key_names)}: key {raw!r} at "
+                        f"row {base + s} breaks the sort order"
                     )
                 yield pending
             pending = (skey, has_missing, rows)
@@ -584,8 +577,9 @@ def _iter_key_runs(
 def _join_pairs_merge(
     left: DataFrame, right: DataFrame, key_names: Sequence[str]
 ) -> tuple[np.ndarray, np.ndarray]:
-    left_runs = _iter_key_runs(left, key_names, "left")
-    right_runs = _iter_key_runs(right, key_names, "right")
+    """Merge two frames sorted on the key, one key run per side at a time."""
+    left_runs = _iter_key_runs(left, key_names)
+    right_runs = _iter_key_runs(right, key_names)
     lp_parts: list[np.ndarray] = []
     rp_parts: list[np.ndarray] = []
     left_cur = next(left_runs, None)
@@ -605,35 +599,26 @@ def _join_pairs_merge(
             left_cur = next(left_runs, None)
         else:
             right_cur = next(right_runs, None)
-    # Drain both sides so sortedness violations in the unconsumed tail
-    # surface deterministically regardless of where the merge stopped.
-    for _ in left_runs:
-        pass
-    for _ in right_runs:
-        pass
     if not lp_parts:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     return np.concatenate(lp_parts), np.concatenate(rp_parts)
 
 
 def is_sorted_on(frame: DataFrame, on: Sequence[str]) -> bool:
-    """True when the frame satisfies the merge-join sortedness contract.
+    """True when the frame satisfies the sortedness contract on ``on``.
 
     One streaming key scan: spilled shards pass through the store's LRU
     chunk by chunk and nothing stays pinned resident afterwards (the
     probe reads key chunks only, never ``values_array()``).
     """
     try:
-        for _ in _iter_key_runs(frame, list(on), "input"):
+        for _ in _iter_key_runs(frame, list(on)):
             pass
     except ValueError:
         return False
     return True
 
 
-# ----------------------------------------------------------------------
-# Sort-merge join: external sort of unsorted inputs + the merge kernel
-# ----------------------------------------------------------------------
 def _sorted_with_rowids(
     frame: DataFrame, key_names: Sequence[str], store: SpillStore
 ) -> tuple[DataFrame, np.ndarray | None]:
@@ -700,19 +685,16 @@ def _join_pairs_sortmerge(
     left: DataFrame,
     right: DataFrame,
     key_names: Sequence[str],
-    store: SpillStore | None = None,
+    store: SpillStore,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Merge-join after external-sorting whichever sides need it.
+    """Merge-join after external-sorting whichever side needs it.
 
     Pairs come back in the canonical ``(lp, rp)`` lexicographic order —
-    the same order every other strategy emits — via one final lexsort
-    after mapping sorted row ids back to input row ids.
+    the same order every other plan emits — via one final lexsort after
+    mapping sorted row ids back to input row ids.
     """
-    if store is None:
-        store = spill_store_of(left) or spill_store_of(right)
-    temp_store = store if store is not None else SpillStore()
-    left_sorted, left_map = _sorted_with_rowids(left, key_names, temp_store)
-    right_sorted, right_map = _sorted_with_rowids(right, key_names, temp_store)
+    left_sorted, left_map = _sorted_with_rowids(left, key_names, store)
+    right_sorted, right_map = _sorted_with_rowids(right, key_names, store)
     try:
         lp, rp = _join_pairs_merge(left_sorted, right_sorted, key_names)
     finally:
@@ -947,16 +929,11 @@ def join(
     on: Sequence[str],
     how: str = "inner",
     suffix: str = "_right",
-    strategy: str | None = None,
-    n_partitions: int | None = None,
-    spill: SpillStore | None = None,
 ) -> DataFrame:
-    """Equality join with a pluggable physical strategy.
+    """Equality join; the planner picks the physical plan.
 
-    See the module docstring for the strategy, null, and sortedness
-    contracts. ``spill`` routes partition buckets through an explicit
-    store; by default buckets spill only when an input is already
-    spilled (through that input's own store).
+    See the module docstring for the plan, null, and sortedness
+    contracts.
     """
     key_names = list(on)
     if how not in _JOIN_HOWS:
@@ -966,65 +943,24 @@ def join(
     for name in key_names:
         left.column(name)
         right.column(name)
-    resolved = resolve_join_strategy(strategy, left, right, on=key_names)
-    if resolved == "memory":
-        lp, rp = _join_pairs_memory(left, right, key_names)
-    elif resolved == "partitioned":
-        store = (
-            spill
-            if spill is not None
-            else (spill_store_of(left) or spill_store_of(right))
+    plan = resolve_join_strategy(left, right, on=key_names)
+    if plan == "memory":
+        lp, rp = _probe_pairs(
+            [left.column(name) for name in key_names],
+            [right.column(name) for name in key_names],
+            left.num_rows,
+            right.num_rows,
         )
-        parts = resolve_join_partitions(n_partitions, left, right, store)
-        lp, rp = _join_pairs_partitioned(left, right, key_names, parts, store)
-    elif resolved == "sortmerge":
-        lp, rp = _join_pairs_sortmerge(left, right, key_names, store=spill)
     else:
-        lp, rp = _join_pairs_merge(left, right, key_names)
+        store = spill_store_of(left) or spill_store_of(right)
+        if plan == "sortmerge":
+            lp, rp = _join_pairs_sortmerge(left, right, key_names, store)
+        else:
+            lp, rp = _join_pairs_partitioned(left, right, key_names, store)
     left_idx, right_idx = _expand_pairs(
         how, left.num_rows, right.num_rows, lp, rp
     )
     return _assemble(left, right, key_names, suffix, how, left_idx, right_idx)
-
-
-def left_join(
-    left: DataFrame,
-    right: DataFrame,
-    on: Sequence[str],
-    suffix: str = "_right",
-    strategy: str | None = None,
-    n_partitions: int | None = None,
-) -> DataFrame:
-    """Keep every left row; unmatched rows get missing right cells."""
-    return join(
-        left,
-        right,
-        on,
-        how="left",
-        suffix=suffix,
-        strategy=strategy,
-        n_partitions=n_partitions,
-    )
-
-
-def outer_join(
-    left: DataFrame,
-    right: DataFrame,
-    on: Sequence[str],
-    suffix: str = "_right",
-    strategy: str | None = None,
-    n_partitions: int | None = None,
-) -> DataFrame:
-    """Full outer join; unmatched right rows follow all left rows."""
-    return join(
-        left,
-        right,
-        on,
-        how="outer",
-        suffix=suffix,
-        strategy=strategy,
-        n_partitions=n_partitions,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -1037,18 +973,9 @@ def _membership(
     n_right: int,
 ) -> np.ndarray:
     """Boolean per left row: does any right row share its (valid) key?"""
-    left_codes = np.zeros(n_left, dtype=np.int64)
-    right_codes = np.zeros(n_right, dtype=np.int64)
-    span = 1
-    left_missing = np.zeros(n_left, dtype=bool)
-    right_missing = np.zeros(n_right, dtype=bool)
-    for l_col, r_col in zip(left_cols, right_cols):
-        extra_left, extra_right, extra_span = _joint_codes(l_col, r_col)
-        left_codes, right_codes, span = _combine_codes(
-            left_codes, right_codes, span, extra_left, extra_right, extra_span
-        )
-        left_missing |= np.asarray(l_col.mask())
-        right_missing |= np.asarray(r_col.mask())
+    left_codes, right_codes, left_missing, right_missing = _composite_codes(
+        left_cols, right_cols, n_left, n_right
+    )
     out = np.zeros(n_left, dtype=bool)
     unique_right = np.unique(right_codes[~right_missing])
     left_rows = np.flatnonzero(~left_missing)
@@ -1068,17 +995,14 @@ def semi_join_mask(
     right: DataFrame,
     on: Sequence[str],
     right_on: Sequence[str] | None = None,
-    strategy: str | None = None,
-    n_partitions: int | None = None,
 ) -> np.ndarray:
     """Per left row, True when its key exists among the right rows.
 
     Rows with a missing key cell are False (they match nothing). The
     key columns pair positionally with ``right_on`` (default: the same
-    names). ``merge``/``sortmerge`` fall back to ``memory`` —
-    membership needs no sorted output — and ``auto`` resolves without
-    key columns (``on=None``), keeping the historical
-    partitioned/memory routing.
+    names). Membership needs no sorted output, so the planner is asked
+    without key columns: resident inputs probe in memory, spilled ones
+    run partitioned.
     """
     left_names = list(on)
     right_names = list(right_on) if right_on is not None else left_names
@@ -1090,8 +1014,7 @@ def semi_join_mask(
     for l_name, r_name in zip(left_names, right_names):
         left.column(l_name)
         right.column(r_name)
-    resolved = resolve_join_strategy(strategy, left, right)
-    if resolved != "partitioned":
+    if resolve_join_strategy(left, right) == "memory":
         return _membership(
             [left.column(name) for name in left_names],
             [right.column(name) for name in right_names],
@@ -1099,389 +1022,9 @@ def semi_join_mask(
             right.num_rows,
         )
     store = spill_store_of(left) or spill_store_of(right)
-    parts = resolve_join_partitions(n_partitions, left, right, store)
-    l_dtypes = [left.column(name).dtype for name in left_names]
-    r_dtypes = [right.column(name).dtype for name in right_names]
-    l_buckets = _partition_side(left, left_names, parts, store)
-    r_buckets = _partition_side(right, right_names, parts, store)
     out = np.zeros(left.num_rows, dtype=bool)
-    for p in range(parts):
-        if not l_buckets[p] or not r_buckets[p]:
-            _release_contribs(l_buckets[p], store)
-            _release_contribs(r_buckets[p], store)
-            continue
-        l_rows, l_cols, l_handles = _load_bucket(
-            l_buckets[p], left_names, l_dtypes, store
-        )
-        r_rows, r_cols, r_handles = _load_bucket(
-            r_buckets[p], right_names, r_dtypes, store
-        )
-        member = _membership(l_cols, r_cols, len(l_rows), len(r_rows))
-        out[l_rows[member]] = True
-        if store is not None:
-            for handle in l_handles + r_handles:
-                store.release(handle)
+    for l_rows, l_cols, r_rows, r_cols in _bucket_pairs(
+        left, right, left_names, right_names, store
+    ):
+        out[l_rows[_membership(l_cols, r_cols, len(l_rows), len(r_rows))]] = True
     return out
-
-
-# ----------------------------------------------------------------------
-# Chunk-native grouped aggregation
-# ----------------------------------------------------------------------
-class _ListState:
-    """Fallback state: per-group Python value lists, callback at the end.
-
-    Byte-for-byte the monolithic fallback — values accumulate in global
-    row order, the callback runs per group in first-occurrence order at
-    finalize (so a raising callback, e.g. ``sum`` over strings, raises
-    at exactly the group the monolithic path raises at).
-    """
-
-    def __init__(self, callback: Callable[[list[Any]], Any]) -> None:
-        self.callback = callback
-        self.lists: list[list[Any]] = []
-
-    def _grow(self, n_total: int) -> None:
-        while len(self.lists) < n_total:
-            self.lists.append([])
-
-    def update(
-        self, column: Column, row_gid: np.ndarray, n_total: int
-    ) -> None:
-        self._grow(n_total)
-        values = column.values()
-        for i, gid in enumerate(row_gid.tolist()):
-            value = values[i]
-            if value is not None:
-                self.lists[gid].append(value)
-
-    def finalize(self, n_groups: int) -> list[Any]:
-        self._grow(n_groups)
-        return [
-            self.callback(values) if values else None
-            for values in self.lists[:n_groups]
-        ]
-
-
-class _CountState:
-    def __init__(self) -> None:
-        self.counts = np.zeros(0, dtype=np.int64)
-
-    def _grow(self, n_total: int) -> None:
-        if len(self.counts) < n_total:
-            grown = np.zeros(n_total, dtype=np.int64)
-            grown[: len(self.counts)] = self.counts
-            self.counts = grown
-
-    def update(
-        self, column: Column, row_gid: np.ndarray, n_total: int
-    ) -> None:
-        self._grow(n_total)
-        valid = ~np.asarray(column.mask())
-        self.counts[:n_total] += np.bincount(
-            row_gid[valid], minlength=n_total
-        )
-
-    def finalize(self, n_groups: int) -> list[Any]:
-        self._grow(n_groups)
-        return [
-            int(count) if count else None
-            for count in self.counts[:n_groups].tolist()
-        ]
-
-
-class _FirstState:
-    def __init__(self) -> None:
-        self.values: dict[int, Any] = {}
-
-    def update(
-        self, column: Column, row_gid: np.ndarray, n_total: int
-    ) -> None:
-        valid_rows = np.flatnonzero(~np.asarray(column.mask()))
-        if not len(valid_rows):
-            return
-        gids = row_gid[valid_rows]
-        unique_gids, first_index = np.unique(gids, return_index=True)
-        for gid, index in zip(unique_gids.tolist(), first_index.tolist()):
-            if gid not in self.values:
-                self.values[gid] = column[int(valid_rows[index])]
-
-    def finalize(self, n_groups: int) -> list[Any]:
-        return [self.values.get(g) for g in range(n_groups)]
-
-
-class _FloatSumState:
-    """Carry-bincount float sums — bit-identical to the monolithic fold.
-
-    Each chunk's ``bincount`` re-adds the running per-group sums as
-    leading carry weights: carries precede the chunk's elements per bin,
-    and ``0.0 + carry == carry`` bitwise because a fold that starts at
-    ``+0.0`` can never produce ``-0.0`` — so the addition sequence per
-    group equals the monolithic left-to-right fold exactly.
-    """
-
-    def __init__(self, kind: str) -> None:
-        self.kind = kind
-        self.running = np.zeros(0, dtype=np.float64)
-        self.counts = np.zeros(0, dtype=np.int64)
-
-    def _grow(self, n_total: int) -> None:
-        if len(self.counts) < n_total:
-            grown = np.zeros(n_total, dtype=np.int64)
-            grown[: len(self.counts)] = self.counts
-            self.counts = grown
-
-    def update(
-        self, column: Column, row_gid: np.ndarray, n_total: int
-    ) -> None:
-        self._grow(n_total)
-        valid = ~np.asarray(column.mask())
-        gids = row_gid[valid]
-        self.counts[:n_total] += np.bincount(gids, minlength=n_total)
-        values = np.asarray(column.values_array())[valid].astype(
-            np.float64, copy=False
-        )
-        carry_ids = np.arange(len(self.running), dtype=np.int64)
-        self.running = np.bincount(
-            np.concatenate([carry_ids, gids]),
-            weights=np.concatenate([self.running, values]),
-            minlength=n_total,
-        )
-
-    def finalize(self, n_groups: int) -> list[Any]:
-        self._grow(n_groups)
-        sums = self.running.tolist() + [0.0] * (
-            n_groups - len(self.running)
-        )
-        counts = self.counts[:n_groups].tolist()
-        if self.kind == "sum":
-            return [
-                sums[g] if counts[g] else None for g in range(n_groups)
-            ]
-        return [
-            sums[g] / counts[g] if counts[g] else None
-            for g in range(n_groups)
-        ]
-
-
-class _IntSumState:
-    """Exact int/bool sums merged as arbitrary-precision Python ints.
-
-    Per-chunk int64 accumulation is exact whenever the chunk's true
-    per-group totals fit (intermediate wraparound is modular and
-    self-correcting); a float shadow sum flags chunks that might not,
-    which then fold in pure Python. Cross-chunk merge is Python-int
-    addition, so the final totals equal the monolithic exact sums for
-    any magnitude.
-    """
-
-    def __init__(self, kind: str) -> None:
-        self.kind = kind
-        self.totals: list[int] = []
-        self.counts = np.zeros(0, dtype=np.int64)
-
-    def _grow(self, n_total: int) -> None:
-        while len(self.totals) < n_total:
-            self.totals.append(0)
-        if len(self.counts) < n_total:
-            grown = np.zeros(n_total, dtype=np.int64)
-            grown[: len(self.counts)] = self.counts
-            self.counts = grown
-
-    def update(
-        self, column: Column, row_gid: np.ndarray, n_total: int
-    ) -> None:
-        self._grow(n_total)
-        valid = ~np.asarray(column.mask())
-        gids = row_gid[valid]
-        chunk_counts = np.bincount(gids, minlength=n_total)
-        self.counts[:n_total] += chunk_counts
-        values = np.asarray(column.values_array())[valid]
-        if not len(values):
-            return
-        if values.dtype == np.bool_:
-            values = values.astype(np.int64)
-        if values.dtype == object:
-            for gid, value in zip(gids.tolist(), values.tolist()):
-                self.totals[gid] += value
-            return
-        shadow = np.bincount(
-            gids, weights=values.astype(np.float64), minlength=1
-        )
-        if shadow.size and np.abs(shadow).max() > float(2**62):
-            for gid, value in zip(gids.tolist(), values.tolist()):
-                self.totals[gid] += value
-            return
-        sums = np.zeros(n_total, dtype=np.int64)
-        np.add.at(sums, gids, values)
-        for gid in np.flatnonzero(chunk_counts).tolist():
-            self.totals[gid] += int(sums[gid])
-
-    def finalize(self, n_groups: int) -> list[Any]:
-        self._grow(n_groups)
-        counts = self.counts[:n_groups].tolist()
-        if self.kind == "sum":
-            return [
-                self.totals[g] if counts[g] else None
-                for g in range(n_groups)
-            ]
-        return [
-            self.totals[g] / counts[g] if counts[g] else None
-            for g in range(n_groups)
-        ]
-
-
-class _MinMaxState:
-    """Per-chunk ``reduceat`` extrema merged with Python min/max.
-
-    Merging keeps the earlier chunk's value on ties, matching the
-    global left-to-right reduction; result types follow the column
-    dtype exactly like the monolithic ``_python_scalar`` cast.
-    """
-
-    def __init__(self, kind: str, dtype: str) -> None:
-        self.kind = kind
-        self.dtype = dtype
-        self.pick = min if kind == "min" else max
-        self.best: dict[int, Any] = {}
-
-    def _merge(self, gid: int, value: Any) -> None:
-        if gid in self.best:
-            self.best[gid] = self.pick(self.best[gid], value)
-        else:
-            self.best[gid] = value
-
-    def update(
-        self, column: Column, row_gid: np.ndarray, n_total: int
-    ) -> None:
-        valid = ~np.asarray(column.mask())
-        if not valid.any():
-            return
-        gids = row_gid[valid]
-        values = np.asarray(column.values_array())[valid]
-        if values.dtype == object:
-            for gid, value in zip(gids.tolist(), values.tolist()):
-                self._merge(gid, value)
-            return
-        if values.dtype == np.bool_:
-            values = values.astype(np.int64)
-        order = np.argsort(gids, kind="stable")
-        sorted_values = values[order]
-        sorted_gids = gids[order]
-        boundaries = np.flatnonzero(np.diff(sorted_gids)) + 1
-        starts = np.concatenate(([0], boundaries))
-        ufunc = np.minimum if self.kind == "min" else np.maximum
-        reduced = ufunc.reduceat(sorted_values, starts)
-        for gid, value in zip(
-            sorted_gids[starts].tolist(), reduced.tolist()
-        ):
-            self._merge(gid, value)
-
-    def finalize(self, n_groups: int) -> list[Any]:
-        results: list[Any] = []
-        for g in range(n_groups):
-            if g in self.best:
-                value = self.best[g]
-                if self.dtype == _types.BOOL:
-                    value = bool(value)
-                results.append(value)
-            else:
-                results.append(None)
-        return results
-
-
-def _make_state(dtype: str, kind: str | None, callback: Callable | None):
-    if kind is None:
-        return _ListState(callback)
-    if kind == "count":
-        return _CountState()
-    if kind == "first":
-        return _FirstState()
-    if dtype in (_types.INT, _types.FLOAT, _types.BOOL):
-        if kind in ("sum", "mean"):
-            if dtype == _types.FLOAT:
-                return _FloatSumState(kind)
-            return _IntSumState(kind)
-        return _MinMaxState(kind, dtype)
-    return _ListState(callback)
-
-
-def grouped_aggregate(
-    frame: DataFrame,
-    columns: Sequence[str],
-    aggregations: Mapping[str, tuple[str, Any]],
-) -> DataFrame:
-    """Chunk-native ``group_by``: per-chunk partials with exact merge.
-
-    Bit-identical to :func:`repro.dataframe.ops.group_by` on the same
-    rows — same group order (global first occurrence), same value
-    types, same exceptions in the same order — but streams a
-    :class:`ChunkedFrame` chunk by chunk without densifying any column,
-    so spilled inputs stay spilled.
-    """
-    names = list(columns)
-    out: dict[str, list[Any]] = {name: [] for name in names}
-    out.update({name: [] for name in aggregations})
-    if frame.num_rows == 0:
-        for name in names:
-            frame.column(name)
-        for _, (in_name, func) in aggregations.items():
-            frame.column(in_name)
-            _resolve_aggregator(func)
-        return DataFrame.from_dict(out)
-    for name in names:
-        frame.column(name)
-    specs: list[tuple[str, str, Any, Any]] = []
-    for out_name, (in_name, func) in aggregations.items():
-        try:
-            column = frame.column(in_name)
-            kind, callback = _resolve_aggregator(func)
-        except (KeyError, ValueError):
-            # Deferred: re-raised in spec order at finalize, matching
-            # the monolithic path's exception order.
-            specs.append((out_name, in_name, func, None))
-            continue
-        specs.append(
-            (out_name, in_name, func, _make_state(column.dtype, kind, callback))
-        )
-    registry: dict[tuple, int] = {}
-    key_values: list[tuple] = []
-    for chunk in frame.iter_chunks():
-        n = chunk.num_rows
-        if n == 0:
-            continue
-        order, starts, ends, appearance, first_rows = _group_layout(
-            chunk, names
-        )
-        key_cols = [chunk.column(name) for name in names]
-        n_local = len(starts)
-        gid_of_local = np.empty(n_local, dtype=np.int64)
-        first_list = first_rows.tolist()
-        for g in appearance.tolist():
-            raw = tuple(col[first_list[g]] for col in key_cols)
-            key = tuple(
-                _MISSING_KEY if value is None else value for value in raw
-            )
-            gid = registry.get(key)
-            if gid is None:
-                gid = len(registry)
-                registry[key] = gid
-                key_values.append(raw)
-            gid_of_local[g] = gid
-        lengths = ends - starts
-        row_local = np.empty(n, dtype=np.int64)
-        row_local[order] = np.repeat(
-            np.arange(n_local, dtype=np.int64), lengths
-        )
-        row_gid = gid_of_local[row_local]
-        n_total = len(registry)
-        for _, in_name, _, state in specs:
-            if state is not None:
-                state.update(chunk.column(in_name), row_gid, n_total)
-    n_groups = len(registry)
-    for i, name in enumerate(names):
-        out[name] = [key_values[g][i] for g in range(n_groups)]
-    for out_name, in_name, func, state in specs:
-        frame.column(in_name)
-        kind, callback = _resolve_aggregator(func)
-        out[out_name] = state.finalize(n_groups)
-    return DataFrame.from_dict(out)

@@ -1,4 +1,7 @@
-"""Relational operations over DataFrames: sort, group-by, join.
+"""Relational operations over DataFrames: sort and group-by.
+
+Joins live in :mod:`repro.dataframe.joins`; this module holds the
+ordering and grouping kernels they share.
 
 Vectorized contract (the codes-based relational kernels)
 --------------------------------------------------------
@@ -10,11 +13,11 @@ instead of per-cell ``frame.at`` loops:
   codes* (codes remapped so their integer order matches the documented
   value order: numbers before strings, missing last). ``descending=True``
   negates each column's codes independently, which reverses the value
-  order while keeping ties in original row order (stable). A
-  ``strategy`` seam (explicit > ``DATALENS_SORT_STRATEGY`` > auto)
-  routes spilled inputs through the external merge sort in
-  :mod:`repro.dataframe.sort`, which reuses these exact order-code
-  semantics per run so both plans are bit-identical.
+  order while keeping ties in original row order (stable). Spilled
+  inputs route through the external merge sort in
+  :mod:`repro.dataframe.sort` (its planner is the only place that
+  choice is made), which reuses these exact order-code semantics per
+  run so both plans are bit-identical.
 * ``group_indices`` / ``group_by`` — one stable argsort of the composite
   key codes; group boundaries come from code changes in the sorted
   array. Groups are emitted in first-occurrence order (matching the
@@ -22,26 +25,24 @@ instead of per-cell ``frame.at`` loops:
   key cells group together (``None`` matches ``None``) and are
   represented by the private :data:`_MISSING_KEY` singleton inside key
   tuples — a sentinel no genuine cell value can equal.
-* ``inner_join`` — a hash join expressed as shared code arrays: both
-  frames' key columns are factorized jointly so equal values get equal
-  codes across frames, the right side is sorted once, and left rows are
-  matched via ``searchsorted`` + a vectorized slice expansion. Rows with
-  *any* missing key cell never match (SQL semantics), unlike group-by
-  where null keys form a group. Output rows keep the seed order (left
-  row order, then right row order within a key) and columns are gathered
-  with ``take`` so dtypes are preserved (an empty join result keeps the
-  input dtypes instead of decaying to ``string``).
-* ``group_by`` aggregation dispatch — the common aggregators may be
-  requested by name (``"sum"``, ``"mean"``, ``"min"``, ``"max"``,
-  ``"count"``, ``"first"``) or by the matching Python builtins
+* ``group_by`` aggregation — one implementation for every frame: each
+  chunk (a monolithic frame is a single chunk) is grouped with the
+  kernel above, its groups are registered globally in first-occurrence
+  order, and each aggregation folds the chunk into a per-group partial
+  state that merges exactly. The common aggregators may be requested by
+  name (``"sum"``, ``"mean"``, ``"min"``, ``"max"``, ``"count"``,
+  ``"first"``) or by the matching Python builtins
   (``sum``/``min``/``max``/``len``); on numeric, bool, and int64-backed
   columns they run as masked numpy reductions (``bincount`` /
-  ``reduceat``) whose accumulation order matches the pure-Python
-  per-group fold bit for bit. Arbitrary callables — and named
-  aggregators over object-backed columns — fall back to per-group Python
-  lists of the non-missing values in row order, exactly the historical
-  behaviour. Aggregating an all-missing group yields ``None`` for every
-  aggregator, including ``count``.
+  ``reduceat``) whose results match the pure-Python per-group fold bit
+  for bit: float sums carry each group's running total into the next
+  chunk's ``bincount``, int sums merge as arbitrary-precision Python
+  ints, and min/max keep the first-seen value on ties. Arbitrary
+  callables — and named aggregators over object-backed columns — fall
+  back to per-group Python lists of the non-missing values in row
+  order, with the callback applied at the end. Aggregating an
+  all-missing group yields ``None`` for every aggregator, including
+  ``count``.
 """
 
 from __future__ import annotations
@@ -129,7 +130,6 @@ def sort_by(
     frame: DataFrame,
     columns: Sequence[str],
     descending: bool = False,
-    strategy: str | None = None,
 ) -> DataFrame:
     """Return the frame sorted by the given columns (stable).
 
@@ -137,18 +137,16 @@ def sort_by(
     ``descending=True`` negates each column's order codes rather than
     reversing the sorted output, so stability is preserved.
 
-    ``strategy`` picks the physical plan (explicit >
-    ``DATALENS_SORT_STRATEGY`` > auto): ``memory`` is the dense
-    lexsort below; ``external`` routes through
-    :func:`repro.dataframe.sort.external_sort_by`, the spill-aware
-    merge sort whose output is a spilled ChunkedFrame. ``auto`` picks
-    ``external`` exactly when an input column is spilled (the memory
-    plan would densify it). Both plans are bit-identical — same values,
+    :func:`repro.dataframe.sort.resolve_sort_strategy` picks the plan:
+    a spilled input goes through
+    :func:`repro.dataframe.sort.external_sort_by`, the spill-aware merge
+    sort whose output is a spilled ChunkedFrame; anything else takes the
+    dense lexsort below. Both plans are bit-identical — same values,
     order, dtypes — differing only in the output's storage class.
     """
     from .sort import external_sort_by, resolve_sort_strategy
 
-    if resolve_sort_strategy(strategy, frame) == "external":
+    if resolve_sort_strategy(frame) == "external":
         return external_sort_by(frame, columns, descending=descending)
     n = frame.num_rows
     names = list(columns)
@@ -254,149 +252,270 @@ def _resolve_aggregator(func: Any) -> tuple[str | None, Callable | None]:
     return kind, func
 
 
-def _python_scalar(value: Any, dtype: str) -> Any:
-    """Cast a numpy reduction result to the Python type the fallback yields."""
-    if dtype == _types.BOOL:
-        return bool(value)
-    if dtype == _types.INT:
-        return int(value)
-    return float(value)
+# ----------------------------------------------------------------------
+# Per-group partial states: fold chunk by chunk, merge exactly
+# ----------------------------------------------------------------------
+def _grown(counts: np.ndarray, n_total: int) -> np.ndarray:
+    """``counts`` zero-extended to at least ``n_total`` slots."""
+    if len(counts) >= n_total:
+        return counts
+    grown = np.zeros(n_total, dtype=counts.dtype)
+    grown[: len(counts)] = counts
+    return grown
 
 
-def _fast_aggregate(
-    column: Column,
-    kind: str,
-    order: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    appearance: np.ndarray,
-) -> list[Any] | None:
-    """Vectorized per-group aggregation; None when the fast path can't run.
+class _ListState:
+    """Fallback state: per-group Python value lists, callback at the end.
 
-    The accumulation order of the reductions matches the per-group
-    Python fold over non-missing values in row order, so results are
-    bit-identical to the fallback (``bincount`` adds weights
-    sequentially; integer ``reduceat`` is exact in any order).
+    Values accumulate in global row order and the callback runs per
+    group in first-occurrence order at finalize, so a raising callback
+    (e.g. ``sum`` over strings) raises at the first group it fails on.
     """
-    data = column.values_array()
-    mask = column.mask()
-    numeric_like = column.is_numeric() or column.dtype == _types.BOOL
-    if kind not in ("count", "first") and (
-        not numeric_like or data.dtype == object
-    ):
-        return None
 
-    n_groups = len(starts)
-    valid_sorted = ~mask[order]
-    prefix = np.concatenate(([0], np.cumsum(valid_sorted)))
-    counts = prefix[ends] - prefix[starts]
+    def __init__(self, callback: Callable[[list[Any]], Any]) -> None:
+        self.callback = callback
+        self.lists: list[list[Any]] = []
 
-    if kind == "count":
-        return [int(c) if c else None for c in counts[appearance].tolist()]
+    def _grow(self, n_total: int) -> None:
+        while len(self.lists) < n_total:
+            self.lists.append([])
 
-    if kind == "first":
-        valid_positions = np.flatnonzero(valid_sorted)
-        slot = np.searchsorted(valid_positions, starts)
-        results: list[Any] = []
-        for g in appearance.tolist():
-            s = slot[g]
-            if s < len(valid_positions) and valid_positions[s] < ends[g]:
-                results.append(column[int(order[valid_positions[s]])])
-            else:
-                results.append(None)
-        return results
+    def update(
+        self, column: Column, row_gid: np.ndarray, n_total: int
+    ) -> None:
+        self._grow(n_total)
+        lists = self.lists
+        for gid, value in zip(row_gid.tolist(), column.values()):
+            if value is not None:
+                lists[gid].append(value)
 
-    present = counts > 0
-    compact = data[order][valid_sorted]
-    if compact.dtype == np.bool_:
-        compact = compact.astype(np.int64)
-    compact_starts = prefix[starts][present]
-    counts_list = counts.tolist()
-    appearance_list = appearance.tolist()
-
-    if kind in ("sum", "mean"):
-        if compact.dtype == np.int64:
-            # Exact integer sums (matches the arbitrary-precision Python
-            # fold for any total within int64); a float shadow sum flags
-            # groups whose true total would overflow int64, in which
-            # case the caller falls back to exact Python arithmetic.
-            group_ids = np.repeat(np.arange(n_groups), counts)
-            shadow = np.bincount(
-                group_ids, weights=compact.astype(float), minlength=n_groups
-            )
-            if shadow.size and np.abs(shadow).max() > float(2**62):
-                return None
-            sums = np.zeros(n_groups, dtype=np.int64)
-            if present.any():
-                sums[present] = np.add.reduceat(compact, compact_starts)
-            sums_list = sums.tolist()
-            if kind == "sum":
-                return [
-                    sums_list[g] if counts_list[g] else None
-                    for g in appearance_list
-                ]
-            # Python int/int division is correctly rounded, matching the
-            # reference ``sum(values) / len(values)`` exactly.
-            return [
-                sums_list[g] / counts_list[g] if counts_list[g] else None
-                for g in appearance_list
-            ]
-        # float64 input: bincount accumulates weights sequentially in row
-        # order — the same addition sequence as the Python per-group fold.
-        group_ids = np.repeat(np.arange(n_groups), counts)
-        sums = np.bincount(group_ids, weights=compact, minlength=n_groups)
-        sums_list = sums.tolist()
-        if kind == "sum":
-            return [
-                sums_list[g] if counts_list[g] else None for g in appearance_list
-            ]
+    def finalize(self, n_groups: int) -> list[Any]:
+        self._grow(n_groups)
         return [
-            sums_list[g] / counts_list[g] if counts_list[g] else None
-            for g in appearance_list
+            self.callback(values) if values else None
+            for values in self.lists[:n_groups]
         ]
 
-    ufunc = np.minimum if kind == "min" else np.maximum
-    reduced_present = (
-        ufunc.reduceat(compact, compact_starts)
-        if present.any()
-        else np.zeros(0, dtype=compact.dtype)
-    )
-    out_dtype = column.dtype  # min/max of bools is a bool, like Python
-    slot_of_group = np.cumsum(present) - 1
-    results: list[Any] = []
-    for g in appearance_list:
-        if counts_list[g]:
-            results.append(
-                _python_scalar(reduced_present[slot_of_group[g]], out_dtype)
+
+class _CountState:
+    def __init__(self) -> None:
+        self.counts = np.zeros(0, dtype=np.int64)
+
+    def update(
+        self, column: Column, row_gid: np.ndarray, n_total: int
+    ) -> None:
+        self.counts = _grown(self.counts, n_total)
+        valid = ~np.asarray(column.mask())
+        self.counts[:n_total] += np.bincount(
+            row_gid[valid], minlength=n_total
+        )
+
+    def finalize(self, n_groups: int) -> list[Any]:
+        self.counts = _grown(self.counts, n_groups)
+        return [
+            int(count) if count else None
+            for count in self.counts[:n_groups].tolist()
+        ]
+
+
+class _FirstState:
+    def __init__(self) -> None:
+        self.values: dict[int, Any] = {}
+
+    def update(
+        self, column: Column, row_gid: np.ndarray, n_total: int
+    ) -> None:
+        valid_rows = np.flatnonzero(~np.asarray(column.mask()))
+        if not len(valid_rows):
+            return
+        unique_gids, first_index = np.unique(
+            row_gid[valid_rows], return_index=True
+        )
+        firsts = np.asarray(column.values_array())[valid_rows[first_index]]
+        for gid, value in zip(unique_gids.tolist(), firsts.tolist()):
+            self.values.setdefault(gid, value)
+
+    def finalize(self, n_groups: int) -> list[Any]:
+        return [self.values.get(g) for g in range(n_groups)]
+
+
+class _FloatSumState:
+    """Carry-bincount float sums — bit-identical to a row-order fold.
+
+    Each chunk's ``bincount`` re-adds the running per-group sums as
+    leading carry weights: carries precede the chunk's elements per bin,
+    and ``0.0 + carry == carry`` bitwise because a fold that starts at
+    ``+0.0`` can never produce ``-0.0`` — so the addition sequence per
+    group equals the left-to-right Python fold exactly.
+    """
+
+    def __init__(self, kind: str) -> None:
+        self.kind = kind
+        self.running = np.zeros(0, dtype=np.float64)
+        self.counts = np.zeros(0, dtype=np.int64)
+
+    def update(
+        self, column: Column, row_gid: np.ndarray, n_total: int
+    ) -> None:
+        self.counts = _grown(self.counts, n_total)
+        valid = ~np.asarray(column.mask())
+        gids = row_gid[valid]
+        self.counts[:n_total] += np.bincount(gids, minlength=n_total)
+        values = np.asarray(column.values_array())[valid].astype(
+            np.float64, copy=False
+        )
+        carry_ids = np.arange(len(self.running), dtype=np.int64)
+        self.running = np.bincount(
+            np.concatenate([carry_ids, gids]),
+            weights=np.concatenate([self.running, values]),
+            minlength=n_total,
+        )
+
+    def finalize(self, n_groups: int) -> list[Any]:
+        sums = _grown(self.running, n_groups)[:n_groups].tolist()
+        counts = _grown(self.counts, n_groups)[:n_groups].tolist()
+        if self.kind == "sum":
+            return [s if c else None for s, c in zip(sums, counts)]
+        return [s / c if c else None for s, c in zip(sums, counts)]
+
+
+class _IntSumState:
+    """Exact int/bool sums merged as arbitrary-precision Python ints.
+
+    Per-chunk int64 accumulation is exact whenever the chunk's true
+    per-group totals fit (intermediate wraparound is modular and
+    self-correcting); a float shadow sum flags chunks that might not,
+    which then fold in pure Python. Cross-chunk merge is Python-int
+    addition, so the final totals equal the exact sums for any
+    magnitude; ``mean`` is Python int/int division, correctly rounded
+    like ``sum(values) / len(values)``.
+    """
+
+    def __init__(self, kind: str) -> None:
+        self.kind = kind
+        self.totals: list[int] = []
+        self.counts = np.zeros(0, dtype=np.int64)
+
+    def update(
+        self, column: Column, row_gid: np.ndarray, n_total: int
+    ) -> None:
+        self.totals.extend([0] * (n_total - len(self.totals)))
+        self.counts = _grown(self.counts, n_total)
+        valid = ~np.asarray(column.mask())
+        gids = row_gid[valid]
+        chunk_counts = np.bincount(gids, minlength=n_total)
+        self.counts[:n_total] += chunk_counts
+        values = np.asarray(column.values_array())[valid]
+        if not len(values):
+            return
+        if values.dtype == np.bool_:
+            values = values.astype(np.int64)
+        if values.dtype != object:
+            shadow = np.bincount(
+                gids, weights=values.astype(np.float64), minlength=1
             )
-        else:
-            results.append(None)
-    return results
+            if not np.abs(shadow).max() > float(2**62):
+                sums = np.zeros(n_total, dtype=np.int64)
+                np.add.at(sums, gids, values)
+                present = np.flatnonzero(chunk_counts)
+                for gid, total in zip(
+                    present.tolist(), sums[present].tolist()
+                ):
+                    self.totals[gid] += total
+                return
+        for gid, value in zip(gids.tolist(), values.tolist()):
+            self.totals[gid] += value
+
+    def finalize(self, n_groups: int) -> list[Any]:
+        totals = self.totals + [0] * (n_groups - len(self.totals))
+        counts = _grown(self.counts, n_groups)[:n_groups].tolist()
+        if self.kind == "sum":
+            return [t if c else None for t, c in zip(totals, counts)]
+        return [t / c if c else None for t, c in zip(totals, counts)]
 
 
-def _aggregate(
-    column: Column,
-    func: Any,
-    order: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    appearance: np.ndarray,
-) -> list[Any]:
-    kind, callback = _resolve_aggregator(func)
-    if kind is not None:
-        fast = _fast_aggregate(column, kind, order, starts, ends, appearance)
-        if fast is not None:
-            return fast
-        callback = callback if callback is not None else _NAMED_FALLBACKS[kind]
-    values = column.values()
-    results: list[Any] = []
-    starts_list = starts.tolist()
-    ends_list = ends.tolist()
-    for g in appearance.tolist():
-        rows = order[starts_list[g] : ends_list[g]].tolist()
-        group_values = [values[i] for i in rows if values[i] is not None]
-        results.append(callback(group_values) if group_values else None)
-    return results
+class _MinMaxState:
+    """Per-chunk ``reduceat`` extrema merged with Python min/max.
+
+    Merging keeps the earlier chunk's value on ties, matching a global
+    left-to-right reduction; results are Python scalars of the column's
+    type (bool columns yield bools, like Python ``min`` over bools).
+    """
+
+    def __init__(self, kind: str, dtype: str) -> None:
+        self.kind = kind
+        self.dtype = dtype
+        self.pick = min if kind == "min" else max
+        self.best: dict[int, Any] = {}
+
+    def _merge(self, gids: list[int], values: list[Any]) -> None:
+        best = self.best
+        pick = self.pick
+        for gid, value in zip(gids, values):
+            if gid in best:
+                best[gid] = pick(best[gid], value)
+            else:
+                best[gid] = value
+
+    def update(
+        self, column: Column, row_gid: np.ndarray, n_total: int
+    ) -> None:
+        valid = ~np.asarray(column.mask())
+        if not valid.any():
+            return
+        gids = row_gid[valid]
+        values = np.asarray(column.values_array())[valid]
+        if values.dtype == object:
+            self._merge(gids.tolist(), values.tolist())
+            return
+        if values.dtype == np.bool_:
+            values = values.astype(np.int64)
+        order = np.argsort(gids, kind="stable")
+        sorted_gids = gids[order]
+        boundaries = np.flatnonzero(np.diff(sorted_gids)) + 1
+        starts = np.concatenate(([0], boundaries))
+        ufunc = np.minimum if self.kind == "min" else np.maximum
+        reduced = ufunc.reduceat(values[order], starts)
+        self._merge(sorted_gids[starts].tolist(), reduced.tolist())
+
+    def finalize(self, n_groups: int) -> list[Any]:
+        results = [self.best.get(g) for g in range(n_groups)]
+        if self.dtype == _types.BOOL:
+            return [None if v is None else bool(v) for v in results]
+        return results
+
+
+def _make_state(dtype: str, kind: str | None, callback: Callable | None):
+    if kind is None:
+        return _ListState(callback)
+    if kind == "count":
+        return _CountState()
+    if kind == "first":
+        return _FirstState()
+    if dtype in (_types.INT, _types.FLOAT, _types.BOOL):
+        if kind in ("sum", "mean"):
+            if dtype == _types.FLOAT:
+                return _FloatSumState(kind)
+            return _IntSumState(kind)
+        return _MinMaxState(kind, dtype)
+    return _ListState(callback)
+
+
+def _first_row_keys(
+    chunk: DataFrame, names: Sequence[str], rows: np.ndarray
+) -> list[tuple]:
+    """Raw key tuples (``None`` for missing) of ``chunk`` at ``rows``."""
+    if not names:
+        return [()] * len(rows)
+    per_column = []
+    for name in names:
+        column = chunk.column(name)
+        values = np.asarray(column.values_array())[rows].tolist()
+        missing = np.asarray(column.mask())[rows].tolist()
+        per_column.append(
+            [None if m else v for v, m in zip(values, missing)]
+        )
+    return list(zip(*per_column))
 
 
 def group_by(
@@ -412,141 +531,74 @@ def group_by(
     aggregators ``"sum"``/``"mean"``/``"min"``/``"max"``/``"count"``/
     ``"first"``. Groups appear in first-occurrence order; all-missing
     groups aggregate to ``None``.
+
+    Every frame is folded chunk by chunk (a monolithic frame is one
+    chunk) into the per-group partial states above, which merge
+    exactly, so chunked and spilled inputs give the monolithic result
+    bit for bit without densifying any column. Unknown columns and
+    aggregators raise in ``aggregations`` order.
     """
-    from .chunked import ChunkedFrame
-
-    if isinstance(frame, ChunkedFrame):
-        from .spill import spill_store_of
-
-        if frame.n_chunks > 1 or spill_store_of(frame) is not None:
-            # Chunk-native pushdown: per-chunk partials with exact merge
-            # (bit-identical contract documented in repro.dataframe.joins).
-            from .joins import grouped_aggregate
-
-            return grouped_aggregate(frame, columns, aggregations)
     names = list(columns)
     out: dict[str, list[Any]] = {name: [] for name in names}
     out.update({name: [] for name in aggregations})
+    for name in names:
+        frame.column(name)
     if frame.num_rows == 0:
-        for name in names:
-            frame.column(name)
         for _, (in_name, func) in aggregations.items():
             frame.column(in_name)
             _resolve_aggregator(func)
         return DataFrame.from_dict(out)
-    order, starts, ends, appearance, first_rows = _group_layout(frame, names)
-    appearance_list = appearance.tolist()
-    first_list = first_rows.tolist()
-    for name in names:
-        values = frame.column(name).values()
-        out[name] = [values[first_list[g]] for g in appearance_list]
+    specs: list[tuple[str, str, Any, Any]] = []
     for out_name, (in_name, func) in aggregations.items():
-        out[out_name] = _aggregate(
-            frame.column(in_name), func, order, starts, ends, appearance
+        try:
+            column = frame.column(in_name)
+            kind, callback = _resolve_aggregator(func)
+        except (KeyError, ValueError):
+            # Deferred: re-raised in spec order at finalize.
+            specs.append((out_name, in_name, func, None))
+            continue
+        specs.append(
+            (out_name, in_name, func, _make_state(column.dtype, kind, callback))
         )
+    registry: dict[tuple, int] = {}
+    key_values: list[tuple] = []
+    for chunk in frame.iter_chunks():
+        n = chunk.num_rows
+        if n == 0:
+            continue
+        order, starts, ends, appearance, first_rows = _group_layout(
+            chunk, names
+        )
+        n_local = len(starts)
+        gid_of_local = np.empty(n_local, dtype=np.int64)
+        raws = _first_row_keys(chunk, names, first_rows[appearance])
+        for g, raw in zip(appearance.tolist(), raws):
+            key = tuple(
+                _MISSING_KEY if value is None else value for value in raw
+            )
+            gid = registry.get(key)
+            if gid is None:
+                gid = len(registry)
+                registry[key] = gid
+                key_values.append(raw)
+            gid_of_local[g] = gid
+        row_local = np.empty(n, dtype=np.int64)
+        row_local[order] = np.repeat(
+            np.arange(n_local, dtype=np.int64), ends - starts
+        )
+        row_gid = gid_of_local[row_local]
+        n_total = len(registry)
+        for _, in_name, _, state in specs:
+            if state is not None:
+                state.update(chunk.column(in_name), row_gid, n_total)
+    n_groups = len(registry)
+    for i, name in enumerate(names):
+        out[name] = [key[i] for key in key_values]
+    for out_name, in_name, func, state in specs:
+        frame.column(in_name)
+        _resolve_aggregator(func)
+        out[out_name] = state.finalize(n_groups)
     return DataFrame.from_dict(out)
-
-
-# ----------------------------------------------------------------------
-# Join
-# ----------------------------------------------------------------------
-def _lossy_promotion(l_data: np.ndarray, r_data: np.ndarray) -> bool:
-    """True when concatenating would promote int64 values lossily.
-
-    Mixing an int64 key column with a float64 one promotes the ints to
-    float64; ints beyond 2**53 would then collide with neighbours they
-    are not Python-equal to, so such pairs take the exact dict path.
-    """
-    kinds = {l_data.dtype.kind, r_data.dtype.kind}
-    if kinds != {"i", "f"}:
-        return False
-    int_side = l_data if l_data.dtype.kind == "i" else r_data
-    if not int_side.size:
-        return False
-    limit = 2**53
-    return bool(int_side.max() > limit or int_side.min() < -limit)
-
-
-def _joint_codes(
-    left_column: Column, right_column: Column
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Factorize two columns jointly so equal values share codes.
-
-    Equality follows Python ``==`` semantics (so ``2 == 2.0 == True``
-    matches across int/float/bool columns, and strings never equal
-    numbers). Missing cells receive side-specific codes above the value
-    range so a missing left key can never match a missing right key.
-    """
-    l_data, l_mask = left_column.values_array(), left_column.mask()
-    r_data, r_mask = right_column.values_array(), right_column.mask()
-    n_left = len(l_data)
-    if l_data.dtype != object and r_data.dtype != object and not _lossy_promotion(
-        l_data, r_data
-    ):
-        combined = np.concatenate([l_data, r_data])
-        if combined.size:
-            _, inverse = np.unique(combined, return_inverse=True)
-            span = int(inverse.max()) + 1
-        else:
-            inverse = np.zeros(0, dtype=np.int64)
-            span = 0
-        inverse = inverse.astype(np.int64, copy=False)
-    else:
-        inverse, span = _types.factorize_objects(
-            l_data.tolist() + r_data.tolist()
-        )
-    left_codes = inverse[:n_left].copy()
-    right_codes = inverse[n_left:].copy()
-    left_codes[l_mask] = span
-    right_codes[r_mask] = span + 1
-    return left_codes, right_codes, span + 2
-
-
-def _combine_codes(
-    left_codes: np.ndarray,
-    right_codes: np.ndarray,
-    span: int,
-    extra_left: np.ndarray,
-    extra_right: np.ndarray,
-    extra_span: int,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Merge one more key column into composite codes (overflow safe)."""
-    if extra_span and span > (2**62) // max(extra_span, 1):
-        combined = np.concatenate([left_codes, right_codes])
-        _, inverse = np.unique(combined, return_inverse=True)
-        inverse = inverse.astype(np.int64, copy=False)
-        left_codes = inverse[: len(left_codes)]
-        right_codes = inverse[len(left_codes) :]
-        span = int(inverse.max()) + 1 if inverse.size else 0
-    return (
-        left_codes * extra_span + extra_left,
-        right_codes * extra_span + extra_right,
-        span * extra_span,
-    )
-
-
-def inner_join(
-    left: DataFrame,
-    right: DataFrame,
-    on: Sequence[str],
-    suffix: str = "_right",
-) -> DataFrame:
-    """Hash inner join on equality of the ``on`` columns.
-
-    Overlapping non-key columns from the right side get ``suffix``
-    appended. Rows whose key contains a missing cell never match. The
-    output keeps left row order (then right row order within a key) and
-    preserves the input column dtypes.
-
-    The physical execution lives in :mod:`repro.dataframe.joins`: the
-    planner there picks the in-memory joint-codes probe, a partitioned
-    hash join (bucketing shards by key hash, spilling buckets when the
-    inputs are spilled), or a sorted-merge join, all bit-identical;
-    ``DATALENS_JOIN_STRATEGY`` overrides the choice.
-    """
-    from .joins import join
-
-    return join(left, right, on, how="inner", suffix=suffix)
 
 
 def value_counts_frame(frame: DataFrame, column: str) -> DataFrame:

@@ -36,15 +36,14 @@ make that hold:
   input order and each run is internally stable, so preferring the
   lower run index on equal keys reproduces the global stable order.
 
-Strategy seam
--------------
-``ops.sort_by(..., strategy=...)`` routes through
-:func:`resolve_sort_strategy`: an explicit argument wins, then the
-``DATALENS_SORT_STRATEGY`` environment override, then ``auto`` —
+Planner
+-------
+``ops.sort_by`` asks :func:`resolve_sort_strategy` for the plan:
 ``external`` when any input column is spilled (the memory plan would
-densify it), ``memory`` otherwise. The join planner's ``sortmerge``
-strategy (:mod:`repro.dataframe.joins`) external-sorts unsorted inputs
-through this module before running the validated merge join.
+densify it), ``memory`` otherwise. Nothing a caller sets changes the
+choice. The join planner's ``sortmerge`` plan
+(:mod:`repro.dataframe.joins`) external-sorts the side that is not yet
+sorted through this module before merging.
 
 Cost model
 ----------
@@ -70,7 +69,6 @@ between I/O-linear and LRU-thrashing behavior.
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -87,11 +85,6 @@ from .spill import (
     spill_store_of,
 )
 
-#: Environment override for the default sort strategy.
-SORT_STRATEGY_ENV = "DATALENS_SORT_STRATEGY"
-
-SORT_STRATEGIES = ("auto", "memory", "external")
-
 #: Payload-byte estimate per row for object-backed cells (strings,
 #: overflowed ints) when sizing runs — deliberately generous so runs
 #: undershoot the budget rather than overshoot it.
@@ -103,26 +96,14 @@ _OBJECT_ROW_BYTES = 64
 _RUN_BUDGET_FRACTION = 4
 
 
-def resolve_sort_strategy(strategy: str | None, frame: DataFrame) -> str:
-    """Resolve the physical sort strategy: explicit > environment > auto.
+def resolve_sort_strategy(frame: DataFrame) -> str:
+    """Pick the physical sort plan from the input: memory or external.
 
-    ``auto`` picks ``external`` when any input column is spilled
-    (sorting through the memory kernel would densify it and release its
-    shards), else ``memory``.
+    ``external`` when any input column is spilled (sorting through the
+    memory kernel would densify it and release its shards), else
+    ``memory``.
     """
-    if strategy is None:
-        strategy = (
-            os.environ.get(SORT_STRATEGY_ENV, "").strip().lower() or "auto"
-        )
-    strategy = strategy.lower()
-    if strategy not in SORT_STRATEGIES:
-        raise ValueError(
-            f"unknown sort strategy {strategy!r}; expected one of "
-            f"{list(SORT_STRATEGIES)}"
-        )
-    if strategy == "auto":
-        return "external" if spill_store_of(frame) is not None else "memory"
-    return strategy
+    return "external" if spill_store_of(frame) is not None else "memory"
 
 
 def _per_row_bytes(frame: DataFrame) -> int:

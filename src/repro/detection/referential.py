@@ -2,11 +2,12 @@
 
 First consumer of the chunk-native join operators
 (:mod:`repro.dataframe.joins`): every child row whose foreign key has no
-match in the parent table is flagged. The membership test is a semi join,
-so it runs partitioned (spilling key buckets through the session
-:class:`~repro.dataframe.spill.SpillStore`) when either table is spilled
-and never densifies non-key columns — referential checks scale past RAM
-along with the frames themselves.
+match in the parent table is flagged. The membership test is a semi
+join whose plan the join planner picks from the inputs: in memory for
+resident tables, partitioned (spilling key buckets through the session
+:class:`~repro.dataframe.spill.SpillStore`) when either table is
+spilled, so it never densifies non-key columns — referential checks
+scale past RAM along with the frames themselves.
 
 Null semantics follow SQL foreign keys: a child row with a missing value
 in any key column is *not* a violation (it simply asserts no reference),
@@ -40,17 +41,14 @@ class ReferentialIntegrityDetector(Detector):
         on: Sequence[str] = (),
         parent: DataFrame | None = None,
         parent_on: Sequence[str] | None = None,
-        strategy: str | None = None,
     ) -> None:
         super().__init__(
             on=list(on),
             parent_on=list(parent_on) if parent_on is not None else None,
-            strategy=strategy,
         )
         self.on = list(on)
         self.parent = parent
         self.parent_on = list(parent_on) if parent_on is not None else None
-        self.strategy = strategy
 
     def _detect(
         self, frame: DataFrame, context: DetectionContext
@@ -63,13 +61,7 @@ class ReferentialIntegrityDetector(Detector):
             )
         if not self.on:
             raise ValueError("referential_integrity requires key columns (on=)")
-        matched = semi_join_mask(
-            frame,
-            parent,
-            self.on,
-            right_on=self.parent_on,
-            strategy=self.strategy,
-        )
+        matched = semi_join_mask(frame, parent, self.on, right_on=self.parent_on)
         # Rows with a missing key cell assert no reference — skip them.
         checkable = np.ones(frame.num_rows, dtype=bool)
         for name in self.on:

@@ -41,15 +41,6 @@ def mean_absolute_error(y_true: Sequence[float], y_pred: Sequence[float]) -> flo
     return float(np.mean(np.abs(true - pred)))
 
 
-def r2_score(y_true: Sequence[float], y_pred: Sequence[float]) -> float:
-    true, pred = _as_float_arrays(y_true, y_pred)
-    residual = float(np.sum((true - pred) ** 2))
-    total = float(np.sum((true - np.mean(true)) ** 2))
-    if total == 0.0:
-        return 1.0 if residual == 0.0 else 0.0
-    return 1.0 - residual / total
-
-
 # ----------------------------------------------------------------------
 # Classification
 # ----------------------------------------------------------------------
@@ -61,20 +52,6 @@ def accuracy_score(y_true: Sequence[Hashable], y_pred: Sequence[Hashable]) -> fl
     if not true:
         raise ValueError("metrics need at least one sample")
     return sum(t == p for t, p in zip(true, pred)) / len(true)
-
-
-def confusion_matrix(
-    y_true: Sequence[Hashable], y_pred: Sequence[Hashable]
-) -> tuple[list[Hashable], np.ndarray]:
-    """Return (sorted labels, matrix[true_index][pred_index])."""
-    true = list(y_true)
-    pred = list(y_pred)
-    labels = sorted(set(true) | set(pred), key=str)
-    index = {label: i for i, label in enumerate(labels)}
-    matrix = np.zeros((len(labels), len(labels)), dtype=int)
-    for t, p in zip(true, pred):
-        matrix[index[t], index[p]] += 1
-    return labels, matrix
 
 
 def _binary_counts(

@@ -139,3 +139,69 @@ class TestVersions:
             "/datasets/nasa/versions/restore", {"version": 0}
         )
         assert response.body["new_version"] == 2
+
+
+@pytest.fixture
+def spilled_lens(tmp_path, nasa_dirty):
+    """nasa in a session that runs out-of-core: 257-row chunks, 64 KiB."""
+    lens = DataLens(
+        tmp_path / "spilled",
+        seed=0,
+        chunk_size=257,
+        spill_budget=64 * 1024,
+        spill_dir=tmp_path / "spill",
+    )
+    lens.ingest_frame("nasa", nasa_dirty.dirty)
+    return lens
+
+
+def _spilled_columns(session) -> list[str]:
+    frame = session.frame
+    return [
+        name
+        for name in frame.column_names
+        if getattr(frame.column(name), "spilled", False)
+    ]
+
+
+class TestSortedPreview:
+    def test_sort_by_and_descending_order_rows(self, client):
+        response = client.get(
+            "/datasets/nasa",
+            query={"sort_by": "Angle,Frequency", "descending": "1",
+                   "limit": "50"},
+        )
+        assert response.status == 200
+        keys = [(row["Angle"], row["Frequency"]) for row in response.body["rows"]]
+        present = [key for key in keys if None not in key]
+        assert len(keys) == 50 and present
+        assert present == sorted(present, reverse=True)
+        ascending = client.get(
+            "/datasets/nasa", query={"sort_by": "Angle", "limit": "50"}
+        ).body["rows"]
+        angles = [row["Angle"] for row in ascending if row["Angle"] is not None]
+        assert angles == sorted(angles)
+
+    def test_unknown_sort_column_is_422(self, client):
+        response = client.get("/datasets/nasa", query={"sort_by": "ghost"})
+        assert response.status == 422
+
+    def test_sort_on_spilled_session_keeps_frame_spilled(
+        self, client, spilled_lens
+    ):
+        """A read must not densify the stored frame. The query carries
+        ``sort_strategy=memory``, which the server ignores: nothing a
+        client sends may pick the plan and un-spill the session frame
+        under a read guard."""
+        session = spilled_lens.session("nasa")
+        names = session.frame.column_names
+        assert _spilled_columns(session) == names
+        spilled_client = TestClient(create_app(spilled_lens))
+        query = {"sort_by": "Angle", "descending": "1", "limit": "2000",
+                 "sort_strategy": "memory"}
+        response = spilled_client.get("/datasets/nasa", query=query)
+        assert response.status == 200
+        assert _spilled_columns(session) == names
+        resident = client.get("/datasets/nasa", query=query)
+        assert response.body["rows"] == resident.body["rows"]
+        assert len(response.body["rows"]) == 1503

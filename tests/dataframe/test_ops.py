@@ -6,7 +6,7 @@ from repro.dataframe import (
     DataFrame,
     group_by,
     group_indices,
-    inner_join,
+    join,
     sort_by,
     value_counts_frame,
 )
@@ -148,25 +148,25 @@ class TestJoin:
     def test_inner_join_basic(self):
         left = DataFrame.from_dict({"k": [1, 2, 3], "l": ["a", "b", "c"]})
         right = DataFrame.from_dict({"k": [2, 3, 4], "r": ["x", "y", "z"]})
-        joined = inner_join(left, right, on=["k"])
+        joined = join(left, right, ["k"])
         assert joined.num_rows == 2
         assert joined.column("r").values() == ["x", "y"]
 
     def test_join_suffixes_overlapping(self):
         left = DataFrame.from_dict({"k": [1], "v": ["l"]})
         right = DataFrame.from_dict({"k": [1], "v": ["r"]})
-        joined = inner_join(left, right, on=["k"])
+        joined = join(left, right, ["k"])
         assert joined.column("v_right").values() == ["r"]
 
     def test_join_multiplies_matches(self):
         left = DataFrame.from_dict({"k": [1, 1]})
         right = DataFrame.from_dict({"k": [1, 1], "r": ["x", "y"]})
-        assert inner_join(left, right, on=["k"]).num_rows == 4
+        assert join(left, right, ["k"]).num_rows == 4
 
     def test_missing_keys_never_match(self):
         left = DataFrame.from_dict({"k": [None, 1]})
         right = DataFrame.from_dict({"k": [None, 1], "r": ["x", "y"]})
-        joined = inner_join(left, right, on=["k"])
+        joined = join(left, right, ["k"])
         assert joined.num_rows == 1
 
 

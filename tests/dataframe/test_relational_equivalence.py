@@ -2,7 +2,7 @@
 reference implementation.
 
 The reference below is the retained row-at-a-time implementation of
-``sort_by`` / ``group_indices`` / ``group_by`` / ``inner_join`` /
+``sort_by`` / ``group_indices`` / ``group_by`` / ``join`` /
 ``value_counts_frame`` (the pre-vectorization semantics, with the two
 documented contract updates: stable descending sort and dtype-preserving
 join output). Both implementations run side by side on seeded random
@@ -25,9 +25,7 @@ from repro.dataframe import (
     common_dtype,
     group_by,
     group_indices,
-    inner_join,
-    left_join,
-    outer_join,
+    join,
     sort_by,
     value_counts_frame,
 )
@@ -339,7 +337,7 @@ class TestJoinEquivalence(_GeneratorBound):
         left, right = self._pair(seed)
         for keys in (["i"], ["s"], ["big"], ["i", "s"], ["s", "f"]):
             _assert_frames_identical(
-                inner_join(left, right, on=keys),
+                join(left, right, keys),
                 reference_inner_join(left, right, on=keys),
             )
 
@@ -347,7 +345,7 @@ class TestJoinEquivalence(_GeneratorBound):
         left, right = self._pair(seed)
         for keys in (["i"], ["s"], ["big"], ["i", "s"], ["s", "f"]):
             _assert_frames_identical(
-                left_join(left, right, on=keys),
+                join(left, right, keys, how="left"),
                 reference_left_join(left, right, on=keys),
             )
 
@@ -355,7 +353,7 @@ class TestJoinEquivalence(_GeneratorBound):
         left, right = self._pair(seed)
         for keys in (["i"], ["s"], ["big"], ["i", "s"], ["s", "f"]):
             _assert_frames_identical(
-                outer_join(left, right, on=keys),
+                join(left, right, keys, how="outer"),
                 reference_outer_join(left, right, on=keys),
             )
 
@@ -374,7 +372,7 @@ class TestJoinEquivalence(_GeneratorBound):
                 "w": self._random_values(rng, "int", 18, 0.2),
             }
         )
-        joined = outer_join(left, right, on=["k"])
+        joined = join(left, right, ["k"], how="outer")
         assert joined.column("k").dtype == "float"
         _assert_frames_identical(
             joined, reference_outer_join(left, right, on=["k"])
@@ -383,12 +381,12 @@ class TestJoinEquivalence(_GeneratorBound):
     def test_join_with_empty_sides(self, seed):
         left, right = self._pair(seed, n_left=0, n_right=10)
         _assert_frames_identical(
-            inner_join(left, right, on=["i"]),
+            join(left, right, ["i"]),
             reference_inner_join(left, right, on=["i"]),
         )
         left2, right2 = self._pair(seed, n_left=10, n_right=0)
         _assert_frames_identical(
-            inner_join(left2, right2, on=["i", "s"]),
+            join(left2, right2, ["i", "s"]),
             reference_inner_join(left2, right2, on=["i", "s"]),
         )
 
@@ -406,7 +404,7 @@ class TestJoinEquivalence(_GeneratorBound):
                 "v": self._random_values(rng, "float", 15, 0.2),
             }
         )
-        joined = inner_join(left, right, on=["k"])
+        joined = join(left, right, ["k"])
         assert joined.column_names == ["k", "v", "v_right"]
         _assert_frames_identical(
             joined, reference_inner_join(left, right, on=["k"])
@@ -419,13 +417,13 @@ class TestJoinEquivalence(_GeneratorBound):
             {"k": [0.0, 1.0, 2.5, None, 3.0], "r": ["a", "b", "c", "d", "e"]}
         )
         _assert_frames_identical(
-            inner_join(left, right, on=["k"]),
+            join(left, right, ["k"]),
             reference_inner_join(left, right, on=["k"]),
         )
         left_bool = DataFrame.from_dict({"k": [True, False, None]})
         right_int = DataFrame.from_dict({"k": [1, 0, 2], "r": ["x", "y", "z"]})
         _assert_frames_identical(
-            inner_join(left_bool, right_int, on=["k"]),
+            join(left_bool, right_int, ["k"]),
             reference_inner_join(left_bool, right_int, on=["k"]),
         )
 
@@ -443,7 +441,7 @@ class TestDegenerateRelationalInputs:
             reference_group_by(frame, ["k"], {"total": ("v", sum)}),
         )
         other = frame.rename_columns({"v": "w"})
-        assert inner_join(frame, other, on=["k"]).num_rows == 0
+        assert join(frame, other, ["k"]).num_rows == 0
 
     def test_empty_frame_everything(self):
         frame = DataFrame.from_dict({"k": [], "v": []})
@@ -497,7 +495,7 @@ class TestDegenerateRelationalInputs:
             dict(data, other=[float(i) for i in range(n)])
         )
         keys = [f"k{j}" for j in range(8)]
-        joined = inner_join(left, right, on=keys)
+        joined = join(left, right, keys)
         _assert_frames_identical(
             joined, reference_inner_join(left, right, on=keys)
         )
@@ -509,7 +507,7 @@ class TestDegenerateRelationalInputs:
         right = DataFrame.from_dict(
             {"k": [float(2**53)], "r": ["hit"]}, dtypes={"k": "float"}
         )
-        joined = inner_join(left, right, on=["k"])
+        joined = join(left, right, ["k"])
         _assert_frames_identical(
             joined, reference_inner_join(left, right, on=["k"])
         )
@@ -521,7 +519,7 @@ class TestDegenerateRelationalInputs:
         left = DataFrame.from_dict({"k": [1], "a": [1]})
         right = DataFrame.from_dict({"k": [1], "a": [2], "a_right": [3]})
         with pytest.raises(ValueError):
-            inner_join(left, right, on=["k"])
+            join(left, right, ["k"])
 
     def test_unhashable_callable_uses_fallback_path(self):
         class UnhashableAgg:

@@ -66,9 +66,7 @@ class TestReferentialIntegrityDetector:
         orders, customers = orders_and_customers
         store = SpillStore(budget_bytes=512)
         spilled_orders = spill_frame(orders, store, chunk_size=2)
-        detector = ReferentialIntegrityDetector(
-            on=["cust"], parent=customers, strategy="partitioned"
-        )
+        detector = ReferentialIntegrityDetector(on=["cust"], parent=customers)
         result = detector.detect(spilled_orders, DetectionContext())
         assert result.cells == {(2, "cust"), (5, "cust")}
         for name in spilled_orders.column_names:
@@ -106,3 +104,21 @@ class TestSessionWiring:
         assert {(2, "cust"), (5, "cust")} <= session.detected_cells
         runs = lens.tracking.search_runs("Detection")
         assert any(run.name == "orders:referential_integrity" for run in runs)
+
+    def test_check_on_spilled_session_keeps_frame_spilled(
+        self, tmp_path, orders_and_customers
+    ):
+        orders, customers = orders_and_customers
+        lens = DataLens(
+            tmp_path / "workspace",
+            seed=0,
+            chunk_size=2,
+            spill_budget=512,
+            spill_dir=tmp_path / "spill",
+        )
+        session = lens.ingest_frame("orders", orders)
+        frame = session.frame
+        assert all(frame.column(name).spilled for name in frame.column_names)
+        result = session.check_referential_integrity(customers, on=["cust"])
+        assert result.cells == {(2, "cust"), (5, "cust")}
+        assert all(frame.column(name).spilled for name in frame.column_names)

@@ -1,4 +1,4 @@
-"""Model tests: trees, kNN, linear, naive Bayes, and forests."""
+"""Model tests: trees, kNN, linear, and forests."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.ml import (
     DecisionTreeClassifier,
     DecisionTreeRegressor,
-    GaussianNB,
     KNeighborsClassifier,
     KNeighborsRegressor,
     LinearRegression,
@@ -173,20 +172,6 @@ class TestLinear:
         features = np.vstack(features)
         model = LogisticRegression(n_iterations=300).fit(features, labels)
         assert accuracy_score(labels, model.predict(features)) >= 0.95
-
-
-class TestNaiveBayes:
-    def test_separable(self):
-        features, labels = _blobs()
-        model = GaussianNB().fit(features, labels)
-        assert accuracy_score(labels, model.predict(features)) >= 0.98
-
-    def test_probabilities_valid(self):
-        features, labels = _blobs()
-        model = GaussianNB().fit(features, labels)
-        proba = model.predict_proba(features)
-        assert np.all(proba >= 0.0)
-        assert np.allclose(proba.sum(axis=1), 1.0)
 
 
 class TestForests:

@@ -47,7 +47,7 @@ make_repair_frame = _repair_workload.make_repair_frame
 sample_dirty_cells = _repair_workload.sample_dirty_cells
 
 from repro.core.artifacts import ArtifactStore
-from repro.dataframe import DataFrame, group_by, inner_join, sort_by
+from repro.dataframe import DataFrame, group_by, join, sort_by
 from repro.detection.base import DetectionContext
 from repro.detection.holoclean import CooccurrenceModel, HoloCleanDetector
 from repro.detection.outliers import SDDetector
@@ -156,8 +156,8 @@ def test_inner_join_stays_vectorized(synthetic_frame):
             "label": [f"l{v % 7}" for v in range(500)],
         }
     )
-    elapsed = _best_of(lambda: inner_join(synthetic_frame, right, on=["code"]))
-    joined = inner_join(synthetic_frame, right, on=["code"])
+    elapsed = _best_of(lambda: join(synthetic_frame, right, ["code"]))
+    joined = join(synthetic_frame, right, ["code"])
     assert joined.num_rows == N_ROWS
     assert "label" in joined
     # Vectorized: ~0.023s here. The seed per-row probe loop: ~0.57s —
@@ -166,15 +166,11 @@ def test_inner_join_stays_vectorized(synthetic_frame):
 
 
 def test_sort_by_stays_vectorized(synthetic_frame):
-    # Pinned to the memory kernel: this budget guards the vectorized
-    # in-RAM path even when DATALENS_SORT_STRATEGY=external is forced
-    # suite-wide (the external plan has its own budget below).
-    elapsed = _best_of(
-        lambda: sort_by(synthetic_frame, ["group", "code"], strategy="memory")
-    )
-    ordered = sort_by(
-        synthetic_frame, ["group", "code"], descending=True, strategy="memory"
-    )
+    # A resident frame: the planner picks the memory kernel, so this
+    # budget guards the vectorized in-RAM path (the external plan has
+    # its own budget below).
+    elapsed = _best_of(lambda: sort_by(synthetic_frame, ["group", "code"]))
+    ordered = sort_by(synthetic_frame, ["group", "code"], descending=True)
     assert ordered.num_rows == N_ROWS
     # Vectorized: ~0.023s here; per-row key tuples cost several times more.
     assert elapsed < 0.12, f"sort_by took {elapsed:.3f}s on 50k rows"
